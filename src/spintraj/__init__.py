@@ -1,7 +1,10 @@
-"""Liouville-space spin dynamics under optimized control pulses.
+"""Spin dynamics under optimized control pulses.
 
 Subpackages: system description, spherical-tensor basis construction,
 propagation, GRAPE pulse optimization, trajectory analysis, and file I/O.
+States are stored and analysed in the IST Liouville basis and propagated as
+U rho U^dagger in Hilbert space, which relies on the system being closed (no
+relaxation): one evaluation holds [M, T, d, d] arrays, not [M, T, D, D].
 """
 
 from .analysis import (
@@ -27,7 +30,6 @@ from .engine import (
     control_operators,
     drift_hamiltonian,
     propagate,
-    step_propagator,
 )
 from .expressions import parse_state
 from .grape import (

@@ -199,7 +199,7 @@ class SimilarityReport:
 
 
 def _check_pair(traj_a: Trajectory, traj_b: Trajectory):
-    if traj_a.basis.dim != traj_b.basis.dim or traj_a.n_points != traj_b.n_points:
+    if traj_a.basis != traj_b.basis or traj_a.n_points != traj_b.n_points:
         raise DomainError("trajectories live on different bases or time grids")
     if not np.allclose(traj_a.times, traj_b.times):
         raise DomainError("trajectories have different time grids")

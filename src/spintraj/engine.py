@@ -1,8 +1,14 @@
 """Hamiltonian assembly, Liouville-space superoperators, and propagation.
 
 Input frequencies are in Hz; assembled Hamiltonians carry explicit 2*pi
-factors and live in rad/s. Propagation is piecewise-constant:
-rho_{n+1} = exp(-i (L0 + sum_k 2*pi*power*c_k[n]*C_k) dt) rho_n.
+factors and live in rad/s. States are stored and analysed as coefficient
+vectors over the IST Liouville basis, but propagated in Hilbert space: the
+system is closed (no relaxation), so exp(-i L_n dt) rho equals
+U_n rho U_n^dagger with U_n = exp(-i H_n dt) and
+H_n = H0 + sum_k 2*pi*power*c_k[n]*H_k. One batched d x d eigh gives every
+U_n; the basis is touched only at the edges, through the unitary
+vectorization matrix. Memory per propagation is [T, d, d], not [T, D, D]
+with D = d^2.
 """
 
 from __future__ import annotations
@@ -11,11 +17,10 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericError
 from .system import SpinSystem
-from .tensors import ProductBasis, product_basis, spin_operator
+from .tensors import ProductBasis, spin_operator
 
 __all__ = [
     "StateVector",
@@ -24,7 +29,9 @@ __all__ = [
     "drift_hamiltonian",
     "control_operators",
     "commutation_superoperator",
-    "step_propagator",
+    "step_hamiltonians",
+    "step_unitaries",
+    "forward_sweep",
     "propagate",
 ]
 
@@ -216,44 +223,42 @@ def commutation_superoperator(h: np.ndarray, basis: ProductBasis) -> np.ndarray:
     return u.conj().T @ l_vec @ u
 
 
-def step_propagator(l_super: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i L dt) by scaling-and-squaring Pade approximation."""
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    if not np.all(np.isfinite(l_super)):
-        raise NumericError("superoperator contains non-finite entries")
-    return scipy.linalg.expm(-1j * dt * l_super)
+def step_hamiltonians(
+    drift: np.ndarray, ops: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Per-step Hamiltonians H_n = H0 + sum_k w_k[n] H_k, batched over leading axes.
 
-
-def step_generators(
-    system: SpinSystem,
-    controls: ControlSet,
-    basis: ProductBasis | None = None,
-    power_scale: float = 1.0,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-step Hermitian generators G_n = L0 + sum_k 2*pi*power*scale*c_k[n]*C_k.
-
-    Returns (generators[n_steps, D, D], control superoperators). Shared by the
-    propagator and the pulse optimizer.
+    drift [..., d, d], ops [K, d, d], weights [..., K, T] in rad/s; returns
+    [..., T, d, d].
     """
-    basis = basis or product_basis(system)
-    l0 = commutation_superoperator(drift_hamiltonian(system), basis)
-    c_supers = [
-        commutation_superoperator(c, basis)
-        for c in control_operators(system, controls.channels)
-    ]
-    gen = np.broadcast_to(l0, (controls.n_steps,) + l0.shape).copy()
-    for k, c_super in enumerate(c_supers):
-        w = TWO_PI * controls.power_hz * power_scale * controls.amplitudes[k]
-        gen += w[:, None, None] * c_super
-    return gen, c_supers
+    return drift[..., None, :, :] + np.einsum("...kn,kij->...nij", weights, ops)
 
 
-def step_propagators_eigh(gen: np.ndarray, dt: float) -> np.ndarray:
-    """Batched exp(-i G dt) for a stack of Hermitian generators via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(gen)
+def step_unitaries(hams: np.ndarray, dt: float):
+    """U_n = exp(-i H_n dt) of a stack of Hermitian H_n by one batched eigh.
+
+    Returns (U, eigenvalues, eigenvectors); the gradient reuses the eigenbasis.
+    """
+    evals, vecs = np.linalg.eigh(hams)
     phases = np.exp(-1j * dt * evals)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, phases, vecs.conj())
+    u = (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return u, evals, vecs
+
+
+def forward_sweep(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """States rho_{n+1} = U_n rho_n U_n^dagger for u of shape [..., T, d, d].
+
+    Returns [..., T + 1, d, d] with rho0 at index 0. The costates of the
+    gradient, chi_n = U_n^dagger chi_{n+1} U_n, are the same sweep over the
+    reversed adjoint unitaries.
+    """
+    t = u.shape[-3]
+    rho = np.empty(u.shape[:-3] + (t + 1,) + u.shape[-2:], dtype=complex)
+    rho[..., 0, :, :] = rho0
+    u_h = u.conj().swapaxes(-1, -2)
+    for n in range(t):
+        rho[..., n + 1, :, :] = u[..., n, :, :] @ rho[..., n, :, :] @ u_h[..., n, :, :]
+    return rho
 
 
 def propagate(
@@ -263,14 +268,13 @@ def propagate(
     basis = rho0.basis
     if basis.system.multiplicities != system.multiplicities:
         raise DomainError("initial state basis does not match the system")
-    gen, _ = step_generators(system, controls, basis)
-    props = step_propagators_eigh(gen, controls.dt)
-    n = controls.n_steps
-    states = np.empty((n + 1, basis.dim), dtype=complex)
-    states[0] = rho0.coefficients
-    for i in range(n):
-        states[i + 1] = props[i] @ states[i]
-    times = controls.dt * np.arange(n + 1)
+    d = system.hilbert_dim
+    ops = np.reshape(control_operators(system, controls.channels), (-1, d, d))
+    weights = TWO_PI * controls.power_hz * controls.amplitudes
+    hams = step_hamiltonians(drift_hamiltonian(system), ops, weights)
+    u, _, _ = step_unitaries(hams, controls.dt)
+    rho = forward_sweep(u, basis.operator_of(rho0.coefficients))
+    times = controls.dt * np.arange(controls.n_steps + 1)
     h = hashlib.sha256(repr(system).encode()).hexdigest()[:16]
     prov = {"system_hash": h, "control_hash": controls.content_hash()}
-    return Trajectory(times, states, basis, prov)
+    return Trajectory(times, basis.coefficients_of(rho), basis, prov)

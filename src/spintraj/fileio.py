@@ -162,7 +162,7 @@ def write_waveform(controls: ControlSet) -> str:
 
 
 def read_waveform(text: str) -> ControlSet:
-    dt = power = None
+    header: dict[str, float] = {}
     channels: tuple[tuple[str, str], ...] | None = None
     rows = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -170,27 +170,25 @@ def read_waveform(text: str) -> ControlSet:
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
-                continue
-            key, _, value = body.partition("=")
-            key = key.strip()
-            if key == "dt":
-                dt = float(value)
-            elif key == "power_hz":
-                power = float(value)
+            key, _, value = (part.strip() for part in line[1:].partition("="))
+            where = f"waveform line {ln}: '# {key}='"
+            if key in ("dt", "power_hz"):
+                try:
+                    header[key] = float(value)
+                except ValueError:
+                    raise FormatError(f"{where} expects a number, got {value!r}") from None
             elif key == "channels":
-                channels = tuple(
-                    tuple(part.split(":", 1)) for part in value.strip().split(",")
-                )
+                channels = tuple(tuple(part.split(":", 1)) for part in value.split(","))
+                for ch in channels:
+                    _require(len(ch) == 2, where, f"expected isotope:axis, got {ch[0]!r}")
             continue
         try:
             row = [float(v) for v in line.split()]
         except ValueError:
             raise FormatError(f"waveform line {ln}: non-numeric entry") from None
         rows.append((ln, row))
-    _require(dt is not None, "waveform", "missing '# dt=' header")
-    _require(power is not None, "waveform", "missing '# power_hz=' header")
+    for key in ("dt", "power_hz"):
+        _require(key in header, "waveform", f"missing '# {key}=' header")
     _require(channels is not None, "waveform", "missing '# channels=' header")
     _require(bool(rows), "waveform", "no amplitude rows (n_steps must be >= 1)")
     width = len(channels)
@@ -200,7 +198,7 @@ def read_waveform(text: str) -> ControlSet:
     amps = np.array([row for _, row in rows]).T
     if not np.all(np.isfinite(amps)):
         raise NumericError("waveform contains non-finite values")
-    return ControlSet(dt=dt, power_hz=power, channels=channels, amplitudes=amps)
+    return ControlSet(header["dt"], header["power_hz"], channels, amps)
 
 
 def write_trajectory(traj: Trajectory) -> str:
@@ -328,11 +326,15 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
     _require(isinstance(prob, dict), "config.problem", "must be a mapping")
     for key in ("initial", "target", "n_steps", "power_hz", "channels"):
         _require(key in prob, "config.problem", f"missing {key}")
+    n_steps = _num(prob["n_steps"], "config.problem.n_steps")
+    _require(n_steps.is_integer() and n_steps >= 1, "config.problem.n_steps",
+             f"must be a positive integer, got {prob['n_steps']!r}")
+    n_steps = int(n_steps)
     if "dt" in prob:
         dt = _num(prob["dt"], "config.problem.dt")
     else:
         _require("duration" in prob, "config.problem", "needs dt or duration")
-        dt = _num(prob["duration"], "config.problem.duration") / int(prob["n_steps"])
+        dt = _num(prob["duration"], "config.problem.duration") / n_steps
     channels = tuple(tuple(str(ch).split(":", 1)) for ch in prob["channels"])
     for ch in channels:
         _require(len(ch) == 2 and ch[1] in ("x", "y"), "config.problem.channels",
@@ -349,7 +351,7 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
         target_expr=str(prob["target"]),
         parametrization=str(prob.get("parametrization", "amplitudes")),
         dt=dt,
-        n_steps=int(prob["n_steps"]),
+        n_steps=n_steps,
         power_hz=_num(prob["power_hz"], "config.problem.power_hz"),
         channels=channels,
         offsets=tuple(ens.get("offsets", (0.0,))),

@@ -1,12 +1,20 @@
 """Gradient-ascent optimization of piecewise-constant control pulses.
 
 The objective is the real state-transfer overlap Re<target|rho(T)>, averaged
-over an ensemble of offset shifts and control-power scalings. Gradients are
-exact: the per-step propagator directional derivative is evaluated in the
-eigenbasis of the (Hermitian) step generator, which is equivalent to the
-augmented block-triangular exponential (available as method="augmented" and
-tested against it). Ascent is quasi-Newton (L-BFGS, memory 10) with a strong
-Wolfe line search.
+over an ensemble of offset shifts and control-power scalings. rho0 and target
+are given in the IST Liouville basis; the optimizer works on them as d x d
+matrices through the engine's Hilbert-space core, which holds because the
+system is closed: each evaluation is one batched eigh of the [M, T, d, d]
+step Hamiltonians, a forward sweep rho_{n+1} = U_n rho_n U_n^dagger and a
+backward sweep chi_n = U_n^dagger chi_{n+1} U_n (M members, T steps, memory
+[M, T, d, d] instead of [M, T, D, D] with D = d^2). Gradients are exact
+(de Fouquieres, Schirmer, Glaser & Kuprov, JMR 212 (2011) 412): the
+directional derivative dU of each step unitary is evaluated in the
+eigenbasis of its Hamiltonian and enters as d rho = dU rho U^dagger +
+U rho dU^dagger (the density-matrix GRAPE of Khaneja et al., JMR 172 (2005)
+296). It is tested against the Liouville-space augmented block-triangular
+exponential, method="augmented". Ascent is quasi-Newton (L-BFGS, memory 10)
+with a strong Wolfe line search.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ from .engine import (
     commutation_superoperator,
     control_operators,
     drift_hamiltonian,
+    forward_sweep,
+    step_hamiltonians,
+    step_unitaries,
 )
 from .errors import DomainError, NumericError
 from .system import SpinSystem
-from .tensors import ProductBasis
 
 __all__ = [
     "Ensemble",
@@ -110,80 +120,48 @@ def fidelity(final_state: StateVector, target: StateVector) -> float:
 
 
 class _EnsembleWorkspace:
-    """Precomputed member drift superoperators and control superoperators."""
+    """Member drift Hamiltonians, control operators, and rho0/target as d x d matrices."""
 
     def __init__(self, problem: ControlProblem, controls: ControlSet):
-        self.problem = problem
-        self.basis: ProductBasis = problem.rho0.basis
-        self.dt = controls.dt
-        self.n_steps = controls.n_steps
-        self.power = controls.power_hz
-        sys = problem.system
-        ens = problem.ensemble
-        self.c_supers = np.stack(
-            [
-                commutation_superoperator(c, self.basis)
-                for c in control_operators(sys, controls.channels)
-            ]
+        self.dt, self.n_steps, self.power = controls.dt, controls.n_steps, controls.power_hz
+        sys, ens = problem.system, problem.ensemble
+        d = sys.hilbert_dim
+        self.ops = np.reshape(control_operators(sys, controls.channels), (-1, d, d))
+        drift_by_offset = {
+            off: drift_hamiltonian(sys.with_offset_shift(off, ens.isotope))
+            for off in ens.offsets
+        }
+        self.h0 = np.stack([drift_by_offset[o] for (o, _) in ens.members])
+        self.scales = np.array([s for (_, s) in ens.members])
+        basis = problem.rho0.basis
+        self.rho0 = basis.operator_of(problem.rho0.coefficients)
+        self.target = basis.operator_of(problem.target.coefficients)
+
+    def _forward(self, amplitudes: np.ndarray):
+        """Per-member fidelities Re Tr(target^dagger rho_T), step unitaries and states."""
+        weights = TWO_PI * self.power * self.scales[:, None, None] * amplitudes[None]
+        u, evals, vecs = step_unitaries(
+            step_hamiltonians(self.h0, self.ops, weights), self.dt
         )
-        drift_by_offset = {}
-        for off in ens.offsets:
-            shifted = sys.with_offset_shift(off, ens.isotope)
-            drift_by_offset[off] = commutation_superoperator(
-                drift_hamiltonian(shifted), self.basis
-            )
-        self.members = ens.members
-        self.l0 = np.stack([drift_by_offset[o] for (o, _) in self.members])
-        self.scales = np.array([s for (_, s) in self.members])
-
-    def generators(self, amplitudes: np.ndarray) -> np.ndarray:
-        """G[m, n] = L0_m + sum_k 2*pi*power*scale_m*c_k[n]*C_k, shape [M, T, D, D]."""
-        w = TWO_PI * self.power * self.scales[:, None, None] * amplitudes[None]
-        gen = np.einsum("mkn,kij->mnij", w, self.c_supers)
-        gen += self.l0[:, None]
-        return gen
-
-    def propagators_and_eig(self, amplitudes: np.ndarray):
-        gen = self.generators(amplitudes)
-        evals, vecs = np.linalg.eigh(gen)
-        phases = np.exp(-1j * self.dt * evals)
-        props = (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-        return props, evals, vecs
-
-    def sweep(self, props: np.ndarray):
-        """Forward states and backward costates for every member.
-
-        Returns (rho[M, T+1, D], chi[M, T+1, D]) with chi[:, n] the costate
-        paired with step n - 1 (chi[:, T] is the target).
-        """
-        m = len(self.members)
-        t = self.n_steps
-        d = self.basis.dim
-        rho = np.empty((m, t + 1, d), dtype=complex)
-        chi = np.empty((m, t + 1, d), dtype=complex)
-        rho[:, 0] = self.problem.rho0.coefficients
-        chi[:, t] = self.problem.target.coefficients
-        for n in range(t):
-            rho[:, n + 1] = np.einsum("mij,mj->mi", props[:, n], rho[:, n])
-        for n in range(t - 1, -1, -1):
-            chi[:, n] = np.einsum("mji,mj->mi", props[:, n].conj(), chi[:, n + 1])
-        return rho, chi
+        rho = forward_sweep(u, self.rho0)
+        per = np.real(np.einsum("ij,mij->m", self.target.conj(), rho[:, -1]))
+        return per, u, evals, vecs, rho
 
     def mean_fidelity(self, amplitudes: np.ndarray) -> tuple[float, np.ndarray]:
-        props, _, _ = self.propagators_and_eig(amplitudes)
-        rho, _ = self.sweep(props)
-        per = np.real(
-            np.einsum("i,mi->m", self.problem.target.coefficients.conj(), rho[:, -1])
-        )
+        per = self._forward(amplitudes)[0]
         return float(per.mean()), per
 
     def mean_fidelity_and_gradient(self, amplitudes: np.ndarray):
-        props, evals, vecs = self.propagators_and_eig(amplitudes)
-        rho, chi = self.sweep(props)
-        per = np.real(
-            np.einsum("i,mi->m", self.problem.target.coefficients.conj(), rho[:, -1])
-        )
-        # Frechet derivative of exp(-i G dt) in the eigenbasis of G:
+        per, u, evals, vecs, rho = self._forward(amplitudes)
+        u_h = u.conj().swapaxes(-1, -2)
+        chi = forward_sweep(u_h[:, ::-1], self.target)[:, ::-1]
+        # d rho_{n+1} = dU rho_n U^dagger + U rho_n dU^dagger, so the step's
+        # derivative is Re Tr(dU_n Z_n) with Z_n = U_n^dagger S_{n+1} and
+        # S = rho chi^dagger + rho^dagger chi (both terms: rho0 and target
+        # need not be Hermitian).
+        rho_n, chi_n = rho[:, 1:], chi[:, 1:]
+        s = rho_n @ chi_n.conj().swapaxes(-1, -2) + rho_n.conj().swapaxes(-1, -2) @ chi_n
+        # Frechet derivative of exp(-i H dt) in the eigenbasis of H:
         # F_jk = (e^{a_j} - e^{a_k}) / (a_j - a_k), a = -i dt eigenvalues.
         a = -1j * self.dt * evals
         half_diff = (a[..., :, None] - a[..., None, :]) / 2.0
@@ -193,11 +171,9 @@ class _EnsembleWorkspace:
         sinch = np.where(small, 1.0 + half_diff**2 / 6.0, np.sinh(safe) / safe)
         f_mat = np.exp(half_sum) * sinch
         vecs_h = vecs.conj().swapaxes(-1, -2)
-        rho_t = (vecs_h @ rho[:, :-1, :, None])[..., 0]
-        chi_t = (vecs_h @ chi[:, 1:, :, None])[..., 0]
-        w = chi_t.conj()[..., :, None] * rho_t[..., None, :] * f_mat
-        y = vecs.conj() @ w @ vecs.swapaxes(-1, -2)
-        raw = np.einsum("kij,mnij->mkn", self.c_supers, y)
+        z = np.exp(a).conj()[..., :, None] * (vecs_h @ s @ vecs)
+        y = vecs.conj() @ (f_mat * z.swapaxes(-1, -2)) @ vecs.swapaxes(-1, -2)
+        raw = np.einsum("kij,mnij->mkn", self.ops, y)
         scalar = -1j * self.dt * TWO_PI * self.power * self.scales
         grad = np.real(scalar[:, None, None] * raw)
         if not np.all(np.isfinite(grad)):
@@ -217,42 +193,50 @@ def grape_gradient(
 ) -> np.ndarray:
     """Gradient of the ensemble-mean fidelity w.r.t. every control amplitude.
 
-    method "exact" uses the eigenbasis Frechet derivative; "augmented" the
-    block-triangular augmented exponential; "first_order" the -i dt C U
-    approximation (for speed comparisons only).
+    method "exact" uses the eigenbasis Frechet derivative of the Hilbert-space
+    step unitaries; "augmented" is the independent Liouville-space reference
+    that tests compare against.
     """
-    ws = _EnsembleWorkspace(problem, controls)
     if method == "exact":
+        ws = _EnsembleWorkspace(problem, controls)
         _, _, grad = ws.mean_fidelity_and_gradient(controls.amplitudes)
         return grad
-    if method in ("augmented", "first_order"):
-        return _reference_gradient(ws, controls.amplitudes, method)
+    if method == "augmented":
+        return _augmented_gradient(problem, controls)
     raise DomainError(f"unknown gradient method {method!r}")
 
 
-def _reference_gradient(ws: _EnsembleWorkspace, amplitudes, method: str) -> np.ndarray:
-    gen = ws.generators(amplitudes)
-    props, _, _ = ws.propagators_and_eig(amplitudes)
-    rho, chi = ws.sweep(props)
-    d = ws.basis.dim
-    n_ch = ws.c_supers.shape[0]
-    grad = np.zeros((len(ws.members), n_ch, ws.n_steps))
-    for m, (_, scale) in enumerate(ws.members):
-        for n in range(ws.n_steps):
-            a_mat = -1j * ws.dt * gen[m, n]
+def _augmented_gradient(problem: ControlProblem, controls: ControlSet) -> np.ndarray:
+    """Liouville-space gradient: every step propagator exp(A) and its directional
+    derivative from one block-triangular augmented exponential
+    [[A, E], [0, A]] (Goodwin & Kuprov, JCP 143 (2015) 084113)."""
+    basis = problem.rho0.basis
+    sys, ens = problem.system, problem.ensemble
+    ops = control_operators(sys, controls.channels)
+    c_supers = [commutation_superoperator(c, basis) for c in ops]
+    d, n_ch, t = basis.dim, controls.n_channels, controls.n_steps
+    grad = np.zeros((len(ens.members), n_ch, t))
+    for m, (off, scale) in enumerate(ens.members):
+        shifted = sys.with_offset_shift(off, ens.isotope)
+        l0 = commutation_superoperator(drift_hamiltonian(shifted), basis)
+        w = TWO_PI * controls.power_hz * scale
+        rho, props, dprops = [problem.rho0.coefficients], [], []
+        for n in range(t):
+            gen = l0 + sum(w * controls.amplitudes[k, n] * c_supers[k] for k in range(n_ch))
+            block = np.zeros((2 * d, 2 * d), dtype=complex)
+            block[:d, :d] = block[d:, d:] = -1j * controls.dt * gen
+            du = []
             for k in range(n_ch):
-                e_mat = -1j * ws.dt * TWO_PI * ws.power * scale * ws.c_supers[k]
-                if method == "augmented":
-                    block = np.zeros((2 * d, 2 * d), dtype=complex)
-                    block[:d, :d] = a_mat
-                    block[d:, d:] = a_mat
-                    block[:d, d:] = e_mat
-                    du = scipy.linalg.expm(block)[:d, d:]
-                else:
-                    du = e_mat @ props[m, n]
-                grad[m, k, n] = np.real(
-                    np.vdot(chi[m, n + 1], du @ rho[m, n])
-                )
+                block[:d, d:] = -1j * controls.dt * w * c_supers[k]
+                du.append(scipy.linalg.expm(block)[:d, d:])
+            props.append(scipy.linalg.expm(block[:d, :d]))
+            dprops.append(du)
+            rho.append(props[n] @ rho[n])
+        chi = problem.target.coefficients
+        for n in range(t - 1, -1, -1):
+            for k in range(n_ch):
+                grad[m, k, n] = np.real(np.vdot(chi, dprops[n][k] @ rho[n]))
+            chi = props[n].conj().T @ chi
     return grad.mean(axis=0)
 
 
@@ -334,7 +318,7 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
         return x.reshape(controls0.n_channels, ws.n_steps)
 
     cache: dict[bytes, tuple[float, np.ndarray, float]] = {}
-    best = {"obj": np.inf, "x": x0.copy(), "fid": -np.inf}
+    best = {"obj": np.inf, "x": x0.copy(), "fid": -np.inf, "per": None}
 
     def objective(x: np.ndarray):
         key = x.tobytes()
@@ -342,7 +326,7 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
             obj, grad, _ = cache[key]
             return obj, grad
         amps = unpack(x)
-        fid, _, grad_amp = ws.mean_fidelity_and_gradient(amps)
+        fid, per, grad_amp = ws.mean_fidelity_and_gradient(amps)
         obj = -fid
         if lam > 0.0 and not phases_mode:
             obj += lam * float(np.sum(amps**2))
@@ -356,7 +340,7 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
             cache.clear()
         cache[key] = (obj, grad, fid)
         if obj < best["obj"]:
-            best.update(obj=obj, x=x.copy(), fid=fid)
+            best.update(obj=obj, x=x.copy(), fid=fid, per=per)
         return obj, grad
 
     fid_history: list[float] = []
@@ -403,12 +387,10 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
         iterations = len(fid_history) - 1
         status, message = "fidelity_stop", "requested fidelity reached"
 
-    amps = unpack(best["x"])
-    opt_controls = replace(controls0, amplitudes=amps)
-    mean, per = ws.mean_fidelity(amps)
+    opt_controls = replace(controls0, amplitudes=unpack(best["x"]))
     return OptimizationReport(
-        final_fidelity=mean,
-        per_member_fidelities=per.tolist(),
+        final_fidelity=best["fid"],
+        per_member_fidelities=best["per"].tolist(),
         iterations=iterations,
         gradient_norm_history=grad_history,
         fidelity_history=fid_history,

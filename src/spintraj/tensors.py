@@ -164,13 +164,20 @@ class ProductBasis:
         return u
 
     def coefficients_of(self, op: np.ndarray) -> np.ndarray:
-        """Expansion coefficients c_i = Tr(B_i^dagger op) of a Hilbert-space operator."""
+        """Expansion coefficients c_i = Tr(B_i^dagger op) of one operator or a stack."""
         d = self.hilbert_dim
-        if op.shape != (d, d):
+        if op.shape[-2:] != (d, d):
             raise DomainError(
                 f"operator shape {op.shape} does not match Hilbert dimension {d}"
             )
-        return self.vectorization_matrix.conj().T @ op.reshape(-1)
+        return op.reshape(op.shape[:-2] + (d * d,)) @ self.vectorization_matrix.conj()
+
+    def operator_of(self, coefficients: np.ndarray) -> np.ndarray:
+        """Hilbert-space operator sum_i c_i B_i of a coefficient vector (or a stack)."""
+        d = self.hilbert_dim
+        return (coefficients @ self.vectorization_matrix.T).reshape(
+            coefficients.shape[:-1] + (d, d)
+        )
 
     def correlation_orders(self) -> np.ndarray:
         return np.array([lab.correlation_order() for lab in self.labels])

@@ -234,6 +234,17 @@ class TestSimilarityScores:
         with pytest.raises(DomainError):
             rsp(ta, tb)
 
+    @pytest.mark.parametrize("score", [rsp, rdn])
+    def test_basis_mismatch_with_equal_dimension(self, score):
+        # spins (2, 3) and (3, 2) both span 36 basis states but different ones
+        ta = static_trajectory(random_state(product_basis(
+            SpinSystem((Spin("1H", 2), Spin("14N", 3)))), 1))
+        tb = static_trajectory(random_state(product_basis(
+            SpinSystem((Spin("14N", 3), Spin("1H", 2)))), 1))
+        assert ta.basis.dim == tb.basis.dim
+        with pytest.raises(DomainError):
+            score(ta, tb)
+
     def test_phase_difference_is_erased_by_sg(self):
         # Lx- and Ly-started trajectories under an offset drift differ only in
         # magnetization phase: ungrouped RSP calls them completely dissimilar

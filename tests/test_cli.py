@@ -169,6 +169,31 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")])
         assert code == 5
 
+    @pytest.mark.parametrize("header, value", [
+        ("dt", "abc"), ("power_hz", "1e3kHz"), ("channels", "1H"),
+    ])
+    def test_malformed_waveform_header(self, tmp_path, one_spin_files, capsys,
+                                       header, value):
+        sys_path, wave_path, _ = one_spin_files
+        lines = wave_path.read_text().splitlines()
+        lines = [f"# {header}={value}" if ln.startswith(f"# {header}=") else ln
+                 for ln in lines]
+        wave_path.write_text("\n".join(lines) + "\n")
+        code = main(["simulate", "--system", str(sys_path),
+                     "--waveform", str(wave_path), "--initial", "Lz(0)",
+                     "--out", str(tmp_path / "run")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"'# {header}='" in err and value in err
+
+    @pytest.mark.parametrize("n_steps", ["0", "-3", "2.5"])
+    def test_non_positive_n_steps_with_duration(self, tmp_path, capsys, n_steps):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("n_steps: 4", f"n_steps: {n_steps}"))
+        code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "config.problem.n_steps" in capsys.readouterr().err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spintraj import (
     CohOrder,
@@ -18,9 +19,8 @@ from spintraj import (
     product_basis,
     propagate,
     spin_operator,
-    step_propagator,
 )
-from spintraj.errors import DomainError
+from spintraj.errors import DomainError, NumericError
 
 TWO_PI = 2 * np.pi
 
@@ -143,6 +143,15 @@ class TestCommutationSuperoperator:
     def test_dimension_mismatch(self, one_spin_basis):
         with pytest.raises(DomainError):
             commutation_superoperator(np.eye(3), one_spin_basis)
+
+
+def step_propagator(l_super: np.ndarray, dt: float) -> np.ndarray:
+    """Liouville-space oracle exp(-i L dt) by scaling-and-squaring Pade approximation."""
+    if dt <= 0:
+        raise DomainError(f"dt must be positive, got {dt}")
+    if not np.all(np.isfinite(l_super)):
+        raise NumericError("superoperator contains non-finite entries")
+    return scipy.linalg.expm(-1j * dt * l_super)
 
 
 class TestStepPropagator:

@@ -1,0 +1,125 @@
+"""Property tests over random closed spin systems.
+
+Spin-1/2 and spin-1 nuclei with offsets, weak, strong and default-model
+couplings, rhombic quadrupoles, random complex (non-Hermitian) initial and
+target states, and robustness ensembles of 2-4 members. The Hilbert-space
+propagation and gradient core is checked against Liouville-space oracles that
+share none of its code: a product of exp(-i L dt) superoperator exponentials
+for propagation, and the augmented block exponential for the gradient.
+Examples are derandomized, so every run checks the same systems.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spintraj import (
+    ControlProblem,
+    ControlSet,
+    Coupling,
+    Ensemble,
+    Quadrupole,
+    Spin,
+    SpinSystem,
+    StateVector,
+    commutation_superoperator,
+    control_operators,
+    drift_hamiltonian,
+    grape_gradient,
+    product_basis,
+    propagate,
+)
+from test_engine import step_propagator
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ISOTOPES = ("1H", "13C", "14N")
+
+
+@st.composite
+def control_problems(draw):
+    """A random closed system, a short random pulse, random complex rho0 and
+    target, and an ensemble of 2-4 members."""
+    mults = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3)
+                 .filter(lambda m: math.prod(m) <= 9))
+    spins = tuple(
+        Spin(draw(st.sampled_from(ISOTOPES)), m, draw(st.floats(-3000.0, 3000.0)))
+        for m in mults
+    )
+    couplings = tuple(
+        Coupling(i, j, draw(st.floats(-250.0, 250.0)),
+                 draw(st.sampled_from([None, "weak", "strong"])))
+        for i in range(len(spins)) for j in range(i + 1, len(spins))
+        if draw(st.booleans())
+    )
+    quads = tuple(
+        Quadrupole(k, draw(st.floats(-20000.0, 20000.0)), draw(st.floats(0.0, 1.0)))
+        for k, m in enumerate(mults) if m == 3 and draw(st.booleans())
+    )
+    system = SpinSystem(spins, couplings, quads)
+    all_channels = [(iso, ax) for iso in system.isotopes for ax in ("x", "y")]
+    channels = draw(st.lists(st.sampled_from(all_channels), min_size=1,
+                             max_size=len(all_channels), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_steps = draw(st.integers(1, 5))
+    controls = ControlSet(
+        dt=draw(st.floats(5e-6, 5e-5)), power_hz=draw(st.floats(1000.0, 20000.0)),
+        channels=tuple(channels),
+        amplitudes=rng.uniform(-1.0, 1.0, (len(channels), n_steps)),
+    )
+    basis = product_basis(system)
+
+    def random_state():
+        c = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        return StateVector(c / np.linalg.norm(c), basis)
+
+    n_members = draw(st.sampled_from([(2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (4, 1)]))
+    ensemble = Ensemble(
+        offsets=tuple(draw(st.floats(-500.0, 500.0)) for _ in range(n_members[0])),
+        power_scales=tuple(draw(st.floats(0.7, 1.3)) for _ in range(n_members[1])),
+        isotope=draw(st.sampled_from((None,) + system.isotopes)),
+    )
+    return ControlProblem(system, random_state(), random_state(), controls,
+                          ensemble=ensemble)
+
+
+def liouville_trajectory(system, controls, rho0):
+    """States from a product of exp(-i L_n dt) over the IST basis."""
+    basis = rho0.basis
+    l0 = commutation_superoperator(drift_hamiltonian(system), basis)
+    c_supers = [commutation_superoperator(c, basis)
+                for c in control_operators(system, controls.channels)]
+    states = [rho0.coefficients]
+    for n in range(controls.n_steps):
+        gen = l0 + sum(2 * np.pi * controls.power_hz * controls.amplitudes[k, n] * c
+                       for k, c in enumerate(c_supers))
+        states.append(step_propagator(gen, controls.dt) @ states[-1])
+    return np.array(states)
+
+
+@PROPERTY_SETTINGS
+@given(control_problems())
+def test_propagate_matches_liouville_oracle(problem):
+    traj = propagate(problem.system, problem.controls, problem.rho0)
+    oracle = liouville_trajectory(problem.system, problem.controls, problem.rho0)
+    assert np.max(np.abs(traj.states - oracle)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(control_problems())
+def test_trajectory_rows_keep_unit_norm(problem):
+    traj = propagate(problem.system, problem.controls, problem.rho0)
+    assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(control_problems())
+def test_gradient_matches_augmented_oracle(problem):
+    exact = grape_gradient(problem, problem.controls)
+    oracle = grape_gradient(problem, problem.controls, method="augmented")
+    assert np.max(np.abs(exact - oracle)) <= 1e-12 * np.max(np.abs(oracle))
