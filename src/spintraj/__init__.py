@@ -46,8 +46,6 @@ from .system import Coupling, Quadrupole, Spin, SpinSystem
 from .tensors import (
     BasisLabel,
     ProductBasis,
-    coherence_order,
-    correlation_order,
     ist_operator,
     product_basis,
     spin_operator,

@@ -9,6 +9,12 @@ H_n = H0 + sum_k 2*pi*power*c_k[n]*H_k. One batched d x d eigh gives every
 U_n; the basis is touched only at the edges, through the unitary
 vectorization matrix. Memory per propagation is [T, d, d], not [T, D, D]
 with D = d^2.
+
+For d = 2 (one spin-1/2) numpy's batched eigh and matmul cost about a
+microsecond per matrix in call overhead, far more than the arithmetic. There
+the eigendecomposition is in closed form and every stacked product is a sum
+of two broadcast outer products (`stack_matmul`); larger d uses eigh and @.
+The choice follows from the array shape alone.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "control_operators",
     "commutation_superoperator",
     "step_hamiltonians",
+    "stack_matmul",
     "step_unitaries",
     "forward_sweep",
     "propagate",
@@ -234,14 +241,54 @@ def step_hamiltonians(
     return drift[..., None, :, :] + np.einsum("...kn,kij->...nij", weights, ops)
 
 
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of matrices.
+
+    2 x 2 stacks are multiplied as a sum of two broadcast outer products
+    (column j of a times row j of b), which are elementwise operations over
+    the whole stack instead of one small matmul per matrix.
+    """
+    if a.shape[-2:] == (2, 2) and b.shape[-2:] == (2, 2):
+        out = a[..., :, :1] * b[..., :1, :]
+        out += a[..., :, 1:] * b[..., 1:, :]
+        return out
+    return a @ b
+
+
+def _eigh_2x2(hams: np.ndarray):
+    """Closed-form eigh of a stack of Hermitian 2 x 2 matrices.
+
+    H - mean*I = r (cos t sz + sin t (cos p sx - sin p sy)) with
+    t = atan2(|q|, (h00 - h11)/2) and p = arg q for q = h01; the eigenvalues
+    are mean -/+ r and the eigenvectors follow from the half angle t/2 and
+    e^{ip}. No division, so q = 0 and H = 0 need no special case.
+    """
+    h00, h11, q = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 0, 1]
+    mean, half_gap, abs_q = (h00 + h11) / 2.0, (h00 - h11) / 2.0, np.abs(q)
+    r = np.hypot(half_gap, abs_q)
+    half_theta = np.arctan2(abs_q, half_gap) / 2.0
+    c, s = np.cos(half_theta), np.sin(half_theta)
+    phase = np.exp(1j * np.angle(q))
+    vecs = np.empty(hams.shape, dtype=complex)
+    vecs[..., 0, 0] = -phase * s
+    vecs[..., 0, 1] = phase * c
+    vecs[..., 1, 0] = c
+    vecs[..., 1, 1] = s
+    return np.stack([mean - r, mean + r], axis=-1), vecs
+
+
 def step_unitaries(hams: np.ndarray, dt: float):
-    """U_n = exp(-i H_n dt) of a stack of Hermitian H_n by one batched eigh.
+    """U_n = exp(-i H_n dt) of a stack of Hermitian H_n by one batched eigh
+    (closed form for 2 x 2 stacks).
 
     Returns (U, eigenvalues, eigenvectors); the gradient reuses the eigenbasis.
     """
-    evals, vecs = np.linalg.eigh(hams)
+    if hams.shape[-2:] == (2, 2):
+        evals, vecs = _eigh_2x2(hams)
+    else:
+        evals, vecs = np.linalg.eigh(hams)
     phases = np.exp(-1j * dt * evals)
-    u = (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    u = stack_matmul(vecs * phases[..., None, :], vecs.conj().swapaxes(-1, -2))
     return u, evals, vecs
 
 
@@ -257,7 +304,9 @@ def forward_sweep(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     rho[..., 0, :, :] = rho0
     u_h = u.conj().swapaxes(-1, -2)
     for n in range(t):
-        rho[..., n + 1, :, :] = u[..., n, :, :] @ rho[..., n, :, :] @ u_h[..., n, :, :]
+        rho[..., n + 1, :, :] = stack_matmul(
+            stack_matmul(u[..., n, :, :], rho[..., n, :, :]), u_h[..., n, :, :]
+        )
     return rho
 
 

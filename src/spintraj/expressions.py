@@ -3,8 +3,10 @@
 Grammar: a sum of weighted primitives, where a primitive is one of
 Lx(k), Ly(k), Lz(k), T(k, l, m) and a weight is an optional real or
 imaginary scalar, e.g. "Lz(0)", "0.5*Lx(0) + 1i*T(0,1,1)", "Lz(0) - Lz(1)".
-The result is normalized to unit norm; a warning is issued when the raw
-norm differs from 1.
+The result is normalized to unit norm. A lone primitive is rescaled silently
+(a spin-1/2 Lz(0) has norm 1/sqrt(2)); a warning is issued only when a
+user-weighted expression, one with an explicit coefficient or more than one
+term, has a raw norm other than 1.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ def _split_terms(text: str) -> list[str]:
     """Split on top-level + and -, keeping signs with the terms."""
     terms = []
     cur = ""
+    depth = 0
     for ch in text:
-        if ch in "+-" and cur.strip():
+        depth += (ch == "(") - (ch == ")")
+        if ch in "+-" and depth == 0 and cur.strip():
             terms.append(cur.strip())
             cur = ch
         else:
@@ -57,6 +61,7 @@ def parse_state(basis: ProductBasis, text: str) -> StateVector:
     terms = _split_terms(text)
     if not terms:
         raise DomainError("empty state expression")
+    weighted = len(terms) > 1
     for term in terms:
         sign = 1.0
         body = term
@@ -68,6 +73,7 @@ def parse_state(basis: ProductBasis, text: str) -> StateVector:
         if not match:
             raise DomainError(f"cannot parse state term {term!r}")
         coef = sign * (_parse_coef(match["coef"]) if match["coef"] else 1.0)
+        weighted = weighted or match["coef"] is not None
         if match["cart"]:
             spin = int(match["spin"])
             if not 0 <= spin < system.n_spins:
@@ -90,7 +96,7 @@ def parse_state(basis: ProductBasis, text: str) -> StateVector:
     norm = float(np.linalg.norm(coeffs))
     if norm == 0.0:
         raise DomainError(f"state expression {text!r} evaluates to zero")
-    if abs(norm - 1.0) > 1e-9:
+    if weighted and abs(norm - 1.0) > 1e-9:
         warnings.warn(
             f"state expression {text!r} has raw norm {norm:.6g}; normalizing to 1",
             stacklevel=2,

@@ -57,9 +57,29 @@ def _require(cond: bool, where: str, what: str):
 
 
 def _num(value, where: str) -> float:
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            pass
+        else:  # YAML 1.1 reads exponents without a decimal point, like 1e-3, as text
+            raise FormatError(f"{where}: expected a number, got the string {value!r}; "
+                              "YAML reads 1e-3 as text, write it as 1.0e-3")
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              where, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _int(value, where: str, minimum: int) -> int:
+    number = _num(value, where)
+    _require(number.is_integer() and number >= minimum, where,
+             f"expected an integer >= {minimum}, got {value!r}")
+    return int(number)
+
+
+def _nums(value, where: str) -> tuple[float, ...]:
+    _require(isinstance(value, list), where, f"expected a list of numbers, got {value!r}")
+    return tuple(_num(v, f"{where}[{k}]") for k, v in enumerate(value))
 
 
 def parse_system(text: str) -> SpinSystem:
@@ -101,8 +121,8 @@ def parse_system(text: str) -> SpinSystem:
         try:
             couplings.append(
                 Coupling(
-                    i=int(entry["i"]),
-                    j=int(entry["j"]),
+                    i=_int(entry["i"], f"{where}.i", 0),
+                    j=_int(entry["j"], f"{where}.j", 0),
                     j_hz=_num(entry["j_hz"], f"{where}.j_hz"),
                     model=model,
                 )
@@ -118,7 +138,7 @@ def parse_system(text: str) -> SpinSystem:
         try:
             quads.append(
                 Quadrupole(
-                    spin=int(entry["spin"]),
+                    spin=_int(entry["spin"], f"{where}.spin", 0),
                     omega_q=_num(entry["omega_q"], f"{where}.omega_q"),
                     eta=_num(entry.get("eta", 0.0), f"{where}.eta"),
                 )
@@ -326,10 +346,7 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
     _require(isinstance(prob, dict), "config.problem", "must be a mapping")
     for key in ("initial", "target", "n_steps", "power_hz", "channels"):
         _require(key in prob, "config.problem", f"missing {key}")
-    n_steps = _num(prob["n_steps"], "config.problem.n_steps")
-    _require(n_steps.is_integer() and n_steps >= 1, "config.problem.n_steps",
-             f"must be a positive integer, got {prob['n_steps']!r}")
-    n_steps = int(n_steps)
+    n_steps = _int(prob["n_steps"], "config.problem.n_steps", 1)
     if "dt" in prob:
         dt = _num(prob["dt"], "config.problem.dt")
     else:
@@ -342,11 +359,12 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
     ens = prob.get("ensemble") or {}
     _require(isinstance(ens, dict), "config.problem.ensemble", "must be a mapping")
     analysis = doc.get("analysis") or {}
+    _require(isinstance(analysis, dict), "config.analysis", "must be a mapping")
     specs = tuple(analysis.get("specs", ()))
     fid_stop = prob.get("fidelity_stop")
     return ExperimentConfig(
         system=system,
-        seed=int(doc["seed"]),
+        seed=_int(doc["seed"], "config.seed", 0),
         initial_expr=str(prob["initial"]),
         target_expr=str(prob["target"]),
         parametrization=str(prob.get("parametrization", "amplitudes")),
@@ -354,12 +372,15 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
         n_steps=n_steps,
         power_hz=_num(prob["power_hz"], "config.problem.power_hz"),
         channels=channels,
-        offsets=tuple(ens.get("offsets", (0.0,))),
-        power_scales=tuple(ens.get("power_scales", (1.0,))),
+        offsets=_nums(ens.get("offsets", [0.0]), "config.problem.ensemble.offsets"),
+        power_scales=_nums(ens.get("power_scales", [1.0]),
+                           "config.problem.ensemble.power_scales"),
         ensemble_isotope=ens.get("isotope"),
-        max_iterations=int(prob.get("max_iterations", 1000)),
-        tolerance=float(prob.get("tolerance", 1e-6)),
-        power_penalty=float(prob.get("power_penalty", 0.0)),
-        fidelity_stop=None if fid_stop is None else float(fid_stop),
+        max_iterations=_int(prob.get("max_iterations", 1000),
+                            "config.problem.max_iterations", 0),
+        tolerance=_num(prob.get("tolerance", 1e-6), "config.problem.tolerance"),
+        power_penalty=_num(prob.get("power_penalty", 0.0), "config.problem.power_penalty"),
+        fidelity_stop=None if fid_stop is None else _num(
+            fid_stop, "config.problem.fidelity_stop"),
         analysis_specs=specs,
     )

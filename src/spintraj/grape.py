@@ -12,7 +12,12 @@ backward sweep chi_n = U_n^dagger chi_{n+1} U_n (M members, T steps, memory
 directional derivative dU of each step unitary is evaluated in the
 eigenbasis of its Hamiltonian and enters as d rho = dU rho U^dagger +
 U rho dU^dagger (the density-matrix GRAPE of Khaneja et al., JMR 172 (2005)
-296). It is tested against the Liouville-space augmented block-triangular
+296). The divided difference of the step phases is written as
+exp(-i dt (l_j + l_k)/2) sinc(dt (l_j - l_k)/2 pi), which is finite for
+degenerate eigenvalues without a special case. For one spin-1/2 (d = 2) the
+eigendecomposition is in closed form and the stacked products are
+elementwise (engine.stack_matmul), since numpy's per-matrix overhead would
+dominate. It is tested against the Liouville-space augmented block-triangular
 exponential, method="augmented". Ascent is quasi-Newton (L-BFGS, memory 10)
 with a strong Wolfe line search.
 """
@@ -33,6 +38,7 @@ from .engine import (
     control_operators,
     drift_hamiltonian,
     forward_sweep,
+    stack_matmul,
     step_hamiltonians,
     step_unitaries,
 )
@@ -97,6 +103,11 @@ class ControlProblem:
                 raise DomainError(f"{name} must have unit norm, got {sv.norm}")
         if self.power_penalty < 0:
             raise DomainError("power_penalty must be nonnegative")
+        if self.power_penalty > 0 and self.parametrization == "phases":
+            raise DomainError(
+                "power_penalty applies to amplitudes; phase-only pulses have a "
+                "fixed power, so use parametrization: amplitudes or power_penalty: 0"
+            )
 
 
 @dataclass
@@ -160,19 +171,23 @@ class _EnsembleWorkspace:
         # S = rho chi^dagger + rho^dagger chi (both terms: rho0 and target
         # need not be Hermitian).
         rho_n, chi_n = rho[:, 1:], chi[:, 1:]
-        s = rho_n @ chi_n.conj().swapaxes(-1, -2) + rho_n.conj().swapaxes(-1, -2) @ chi_n
+        s = stack_matmul(rho_n, chi_n.conj().swapaxes(-1, -2))
+        s += stack_matmul(rho_n.conj().swapaxes(-1, -2), chi_n)
         # Frechet derivative of exp(-i H dt) in the eigenbasis of H:
-        # F_jk = (e^{a_j} - e^{a_k}) / (a_j - a_k), a = -i dt eigenvalues.
-        a = -1j * self.dt * evals
-        half_diff = (a[..., :, None] - a[..., None, :]) / 2.0
-        half_sum = (a[..., :, None] + a[..., None, :]) / 2.0
-        small = np.abs(half_diff) < 1e-8
-        safe = np.where(small, 1.0, half_diff)
-        sinch = np.where(small, 1.0 + half_diff**2 / 6.0, np.sinh(safe) / safe)
-        f_mat = np.exp(half_sum) * sinch
+        # F_jk = (e^{a_j} - e^{a_k}) / (a_j - a_k) with a = -i dt eigenvalues,
+        # = exp(-i dt (l_j + l_k) / 2) sinc(dt (l_j - l_k) / 2 pi): the
+        # exponents are imaginary, so sinh(x)/x is a real sinc, finite at 0.
+        lam_j, lam_k = evals[..., :, None], evals[..., None, :]
+        f_mat = np.exp(-0.5j * self.dt * (lam_j + lam_k)) * np.sinc(
+            self.dt * (lam_j - lam_k) / (2.0 * np.pi)
+        )
         vecs_h = vecs.conj().swapaxes(-1, -2)
-        z = np.exp(a).conj()[..., :, None] * (vecs_h @ s @ vecs)
-        y = vecs.conj() @ (f_mat * z.swapaxes(-1, -2)) @ vecs.swapaxes(-1, -2)
+        z = np.exp(1j * self.dt * evals)[..., :, None] * stack_matmul(
+            stack_matmul(vecs_h, s), vecs
+        )
+        y = stack_matmul(
+            stack_matmul(vecs.conj(), f_mat * z.swapaxes(-1, -2)), vecs.swapaxes(-1, -2)
+        )
         raw = np.einsum("kij,mnij->mkn", self.ops, y)
         scalar = -1j * self.dt * TWO_PI * self.power * self.scales
         grad = np.real(scalar[:, None, None] * raw)
@@ -328,7 +343,7 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
         amps = unpack(x)
         fid, per, grad_amp = ws.mean_fidelity_and_gradient(amps)
         obj = -fid
-        if lam > 0.0 and not phases_mode:
+        if lam > 0.0:
             obj += lam * float(np.sum(amps**2))
             grad_amp = grad_amp - 2.0 * lam * amps
         if phases_mode:

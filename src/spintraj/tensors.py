@@ -27,8 +27,6 @@ __all__ = [
     "ist_operator",
     "spin_operator",
     "product_basis",
-    "correlation_order",
-    "coherence_order",
 ]
 
 
@@ -103,23 +101,15 @@ class BasisLabel:
     components: tuple[tuple[int, int], ...]
 
     def correlation_order(self) -> int:
+        """Number of non-unit single-spin factors in the label."""
         return sum(1 for (l, _) in self.components if l > 0)
 
     def coherence_order(self) -> int:
+        """Sum of projection quantum numbers over the label."""
         return sum(m for (_, m) in self.components)
 
     def __str__(self) -> str:
         return "".join(f"({l},{m})" for (l, m) in self.components)
-
-
-def correlation_order(label: BasisLabel) -> int:
-    """Number of non-unit single-spin factors in the label."""
-    return label.correlation_order()
-
-
-def coherence_order(label: BasisLabel) -> int:
-    """Sum of projection quantum numbers over the label."""
-    return label.coherence_order()
 
 
 class ProductBasis:

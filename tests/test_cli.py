@@ -194,6 +194,42 @@ class TestExitCodes:
         assert code == 4
         assert "config.problem.n_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("max_iterations: 60", "max_iterations: many", "config.problem.max_iterations"),
+        ("max_iterations: 60", "max_iterations: 2.5", "config.problem.max_iterations"),
+        ("seed: 3", "seed: x", "config.seed"),
+        ("max_iterations: 60", "max_iterations: 60\n  ensemble: {offsets: [a, b]}",
+         "config.problem.ensemble.offsets[0]"),
+        ("max_iterations: 60", "max_iterations: 60\n  ensemble: {power_scales: 1.0}",
+         "config.problem.ensemble.power_scales"),
+        ("max_iterations: 60", "max_iterations: 60\n  fidelity_stop: high",
+         "config.problem.fidelity_stop"),
+    ])
+    def test_non_numeric_config_fields(self, tmp_path, capsys, old, new, field):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG.replace(old, new))
+        code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert field in capsys.readouterr().err
+
+    def test_exponent_without_decimal_point_says_how_to_write_it(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-3 as a string
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("max_iterations: 60",
+                                            "max_iterations: 60\n  tolerance: 1e-3"))
+        code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "config.problem.tolerance" in err and "1.0e-3" in err
+
+    def test_power_penalty_with_phases(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG.replace(
+            "parametrization: amplitudes", "parametrization: phases\n  power_penalty: 0.1"))
+        code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 5
+        assert "power_penalty" in capsys.readouterr().err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

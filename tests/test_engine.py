@@ -20,6 +20,7 @@ from spintraj import (
     propagate,
     spin_operator,
 )
+from spintraj.engine import stack_matmul, step_unitaries
 from spintraj.errors import DomainError, NumericError
 
 TWO_PI = 2 * np.pi
@@ -193,6 +194,70 @@ class TestStepPropagator:
         )
         u = step_propagator(l_super, 1e-3)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
+
+
+def random_hermitian(rng, shape, d, scale=1.0):
+    a = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    return scale * (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
+def check_eigh(hams, evals, vecs):
+    """V diag(l) V^dagger = H and V^dagger V = I to 1e-14 of the largest |H|."""
+    scale = max(np.max(np.linalg.norm(hams, ord=2, axis=(-2, -1))), 1.0)
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    rebuilt = (vecs * evals[..., None, :]) @ vecs_h
+    assert np.max(np.abs(rebuilt - hams)) <= 1e-14 * scale
+    assert np.max(np.abs(vecs_h @ vecs - np.eye(hams.shape[-1]))) <= 1e-14
+
+
+class TestTwoByTwoKernels:
+    """The closed-form eigh and the broadcast product used for 2 x 2 stacks."""
+
+    @pytest.mark.parametrize("scale", [1.0, TWO_PI * 2.0e4])
+    def test_closed_form_eigh_matches_numpy(self, scale):
+        hams = random_hermitian(np.random.default_rng(3), (7, 50), 2, scale)
+        _, evals, vecs = step_unitaries(hams, 1e-5)
+        check_eigh(hams, evals, vecs)
+        reference = np.linalg.eigh(hams)[0]
+        assert np.max(np.abs(evals - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("ham", [
+        [[3.0, 0.0], [0.0, -1.0]],   # q = 0, h00 > h11
+        [[-2.0, 0.0], [0.0, 5.0]],   # q = 0, h00 < h11
+        [[0.0, 0.0], [0.0, 0.0]],    # H = 0
+        [[1.0, 2.0j], [-2.0j, -1.0]],  # purely imaginary q
+    ], ids=["q0-descending", "q0-ascending", "zero", "imaginary-q"])
+    def test_closed_form_eigh_edge_cases(self, ham):
+        hams = np.array([ham], dtype=complex)
+        u, evals, vecs = step_unitaries(hams, 0.3)
+        check_eigh(hams, evals, vecs)
+        assert np.allclose(evals, np.linalg.eigh(hams)[0], rtol=0.0, atol=1e-14)
+        assert np.max(np.abs(u[0] - scipy.linalg.expm(-0.3j * hams[0]))) <= 1e-14
+
+    def test_unitaries_match_expm(self):
+        hams = random_hermitian(np.random.default_rng(4), (20,), 2, 3.0)
+        u, _, _ = step_unitaries(hams, 0.7)
+        expected = np.array([scipy.linalg.expm(-0.7j * h) for h in hams])
+        assert np.max(np.abs(u - expected)) <= 1e-13
+
+    def test_product_matches_matmul_on_views(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(4, 9, 2, 2)) + 1j * rng.normal(size=(4, 9, 2, 2))
+        b = rng.normal(size=(4, 9, 2, 2)) + 1j * rng.normal(size=(4, 9, 2, 2))
+        views = [
+            (a, b),
+            (a.swapaxes(-1, -2), b),
+            (a[:, ::-1], b.swapaxes(-1, -2)[:, ::-1]),
+            (a[:, :8:2], b[:, 1::2].conj()),
+            (a, b[0, 0]),  # broadcast against a single matrix
+        ]
+        for x, y in views:
+            assert np.max(np.abs(stack_matmul(x, y) - x @ y)) <= 1e-14
+
+    def test_larger_matrices_use_matmul(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 3))
+        assert np.array_equal(stack_matmul(a, b), a @ b)
 
 
 class TestPropagate:

@@ -288,6 +288,11 @@ class TestOptimize:
             free.controls.amplitudes**2
         ) + 1e-12
 
+    def test_power_penalty_with_phases_rejected(self):
+        # a phase-only pulse has fixed power, so the penalty would be ignored
+        with pytest.raises(DomainError, match="power_penalty"):
+            self.make_simple_problem(parametrization="phases", power_penalty=0.5)
+
     def test_non_unit_state_rejected(self):
         system = SpinSystem((Spin("1H", 2),))
         basis = product_basis(system)

@@ -8,8 +8,6 @@ from spintraj import (
     BasisLabel,
     Spin,
     SpinSystem,
-    coherence_order,
-    correlation_order,
     ist_operator,
     product_basis,
     spin_operator,
@@ -147,16 +145,16 @@ class TestOrderClassification:
     def test_six_spin_correlation_orders(self):
         unit, nonunit = (0, 0), (1, 1)
         lab = BasisLabel((unit, nonunit, unit, nonunit, unit, unit))
-        assert correlation_order(lab) == 2
+        assert lab.correlation_order() == 2
         lab = BasisLabel((unit, unit, (1, 0), unit, (1, -1), (1, 1)))
-        assert correlation_order(lab) == 3
-        assert correlation_order(BasisLabel((unit,) * 6)) == 0
+        assert lab.correlation_order() == 3
+        assert BasisLabel((unit,) * 6).correlation_order() == 0
 
     def test_six_spin_coherence_orders(self):
         unit = (0, 0)
         lab = BasisLabel(((1, 0), unit, (1, 1), unit, unit, unit))
-        assert coherence_order(lab) == 1
+        assert lab.coherence_order() == 1
         lab = BasisLabel((unit, (2, 2), unit, unit, (1, -1), (1, 1)))
-        assert coherence_order(lab) == 2
+        assert lab.coherence_order() == 2
         lab = BasisLabel((unit, unit, (2, 0), unit, unit, unit))
-        assert coherence_order(lab) == 0
+        assert lab.coherence_order() == 0
