@@ -16,7 +16,6 @@ from .analysis import (
     bsg_transform,
     build_projector,
     involvement_report,
-    population,
     population_series,
     rdn,
     rsp,

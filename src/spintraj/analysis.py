@@ -8,10 +8,11 @@ a subspace population is the Euclidean norm of the masked coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .engine import StateVector, Trajectory
+from .engine import Trajectory
 from .errors import DomainError
 from .tensors import ProductBasis
 
@@ -22,16 +23,18 @@ __all__ = [
     "Involving",
     "Custom",
     "Projector",
+    "Family",
+    "FAMILIES",
     "GroupedTrajectory",
     "SimilarityReport",
     "build_projector",
-    "population",
     "population_series",
     "sg_transform",
     "bsg_transform",
     "rsp",
     "rdn",
     "involvement_report",
+    "family_populations",
 ]
 
 
@@ -114,11 +117,36 @@ def build_projector(basis: ProductBasis, spec) -> Projector:
     return Projector(spec, mask)
 
 
-def population(p: Projector, rho: StateVector) -> float:
-    """Norm of the projected state: ||P rho||."""
-    if p.mask.shape != rho.coefficients.shape:
-        raise DomainError("projector and state live in different bases")
-    return float(np.linalg.norm(rho.coefficients[p.mask]))
+@dataclass(frozen=True)
+class Family:
+    """A named set of projectors: one per member, each written as a column."""
+
+    prefix: str  # column name of member k is f"{prefix}{k}"
+    spec: Callable[[int], object]  # member -> projector spec
+    members: Callable[[ProductBasis], range]
+
+
+def _coherence_orders(basis: ProductBasis) -> range:
+    top = int(basis.coherence_orders().max())  # orders run from -top to top
+    return range(-top, top + 1)
+
+
+FAMILIES = {
+    "corr-orders": Family("corr_order_", CorrOrder, lambda b: range(b.system.n_spins + 1)),
+    "coh-orders": Family("coh_order_", CohOrder, _coherence_orders),
+    "local": Family("local_spin_", LocalSpin, lambda b: range(b.system.n_spins)),
+    "involvement": Family("involving_", Involving, lambda b: range(b.system.n_spins)),
+}
+
+
+def family_populations(traj: Trajectory, name: str) -> tuple[list[str], list[np.ndarray]]:
+    """Column names and population series of every member of one family."""
+    family = FAMILIES[name]
+    names, series = [], []
+    for k in family.members(traj.basis):
+        names.append(f"{family.prefix}{k}")
+        series.append(population_series(build_projector(traj.basis, family.spec(k)), traj))
+    return names, series
 
 
 def population_series(p: Projector, traj: Trajectory) -> np.ndarray:
@@ -164,12 +192,9 @@ def sg_transform(traj: Trajectory) -> GroupedTrajectory:
 
 def bsg_transform(traj: Trajectory) -> GroupedTrajectory:
     """Map each trajectory point to the R^N vector of single-spin subspace populations."""
-    n_spins = traj.basis.system.n_spins
-    values = np.empty((traj.n_points, n_spins))
-    for k in range(n_spins):
-        p = build_projector(traj.basis, LocalSpin(k))
-        values[:, k] = population_series(p, traj)
-    return GroupedTrajectory("bsg", list(range(n_spins)), traj.times, values)
+    _, series = family_populations(traj, "local")
+    return GroupedTrajectory("bsg", list(range(len(series))), traj.times,
+                             np.column_stack(series))
 
 
 @dataclass
@@ -188,14 +213,6 @@ class SimilarityReport:
     @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.scores)
-
-    @property
-    def minimum(self) -> float:
-        return float(self.real.min())
-
-    @property
-    def mean(self) -> float:
-        return float(self.real.mean())
 
 
 def _check_pair(traj_a: Trajectory, traj_b: Trajectory):
@@ -241,9 +258,7 @@ def involvement_report(traj: Trajectory, threshold: float) -> list[dict]:
     """Peak involvement of every spin along the trajectory and a droppable flag."""
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    out = []
-    for k in range(traj.basis.system.n_spins):
-        series = population_series(build_projector(traj.basis, Involving(k)), traj)
-        peak = float(series.max())
-        out.append({"spin": k, "max_involvement": peak, "droppable": peak < threshold})
-    return out
+    _, series = family_populations(traj, "involvement")
+    peaks = [float(s.max()) for s in series]
+    return [{"spin": k, "max_involvement": peak, "droppable": peak < threshold}
+            for k, peak in enumerate(peaks)]

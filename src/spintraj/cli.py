@@ -33,19 +33,24 @@ EXIT_FORMAT = 4
 EXIT_DOMAIN = 5
 EXIT_NUMERIC = 6
 
-_FMT = "%.12g"
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = len(columns[0])
+    """One header line, then the columns side by side with 12 significant digits."""
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for n in range(rows):
-            fh.write(",".join(_FMT % col[n] for col in columns) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
+                   header=",".join(header), comments="")
+
+
+def _write_populations(out: Path, traj, spec: str) -> Path:
+    """`<spec>.csv` in `out`: time and the population of every member of the family."""
+    names, series = analysis.family_populations(traj, spec)
+    path = out / f"{spec.replace('-', '_')}.csv"
+    _write_csv(path, ["time"] + names, [traj.times] + series)
+    return path
 
 
 def _cmd_simulate(args) -> int:
@@ -96,6 +101,8 @@ def _cmd_optimize(args) -> int:
     (out / "waveform.txt").write_text(write_waveform(report.controls), encoding="utf-8")
     traj = propagate(cfg.system, report.controls, rho0)
     (out / "trajectory.txt").write_text(write_trajectory(traj), encoding="utf-8")
+    for spec in cfg.analysis_specs:
+        _write_populations(out, traj, spec)
     summary = {
         "final_fidelity": report.final_fidelity,
         "per_member_fidelities": report.per_member_fidelities,
@@ -114,36 +121,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_analyze(args) -> int:
     traj = read_trajectory(_read(args.trajectory))
-    basis = traj.basis
-    n_spins = basis.system.n_spins
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["time"]
-    columns = [traj.times]
-    if args.spec == "corr-orders":
-        for k in range(n_spins + 1):
-            proj = analysis.build_projector(basis, analysis.CorrOrder(k))
-            header.append(f"corr_order_{k}")
-            columns.append(analysis.population_series(proj, traj))
-    elif args.spec == "coh-orders":
-        orders = basis.coherence_orders()
-        for m in range(int(orders.min()), int(orders.max()) + 1):
-            proj = analysis.build_projector(basis, analysis.CohOrder(m))
-            header.append(f"coh_order_{m}")
-            columns.append(analysis.population_series(proj, traj))
-    elif args.spec == "local":
-        for k in range(n_spins):
-            proj = analysis.build_projector(basis, analysis.LocalSpin(k))
-            header.append(f"local_spin_{k}")
-            columns.append(analysis.population_series(proj, traj))
-    elif args.spec == "involvement":
-        for k in range(n_spins):
-            proj = analysis.build_projector(basis, analysis.Involving(k))
-            header.append(f"involving_{k}")
-            columns.append(analysis.population_series(proj, traj))
-    path = out / f"{args.spec.replace('-', '_')}.csv"
-    _write_csv(path, header, columns)
-    print(f"wrote {path}")
+    print(f"wrote {_write_populations(out, traj, args.spec)}")
     return 0
 
 
@@ -202,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="subspace population time series to CSV")
     p.add_argument("--trajectory", required=True)
     p.add_argument("--spec", required=True,
-                   choices=["corr-orders", "coh-orders", "local", "involvement"])
+                   choices=list(analysis.FAMILIES))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 

@@ -64,19 +64,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise DomainError("cannot normalize the zero state")
-        return StateVector(self.coefficients / n, self.basis)
-
-    @classmethod
-    def from_hilbert_operator(
-        cls, basis: ProductBasis, op: np.ndarray, normalize: bool = False
-    ) -> "StateVector":
-        sv = cls(basis.coefficients_of(op), basis)
-        return sv.normalized() if normalize else sv
-
 
 @dataclass
 class ControlSet:
@@ -116,10 +103,6 @@ class ControlSet:
     @property
     def n_channels(self) -> int:
         return len(self.channels)
-
-    @property
-    def duration(self) -> float:
-        return self.dt * self.n_steps
 
     def xy_pairs(self) -> tuple[tuple[int, int], ...]:
         """Indices of (x, y) channel pairs per isotope; error if unpaired."""
@@ -162,17 +145,6 @@ class Trajectory:
     @property
     def n_points(self) -> int:
         return self.times.shape[0]
-
-    def state(self, n: int) -> StateVector:
-        return StateVector(self.states[n], self.basis)
-
-    @property
-    def initial(self) -> StateVector:
-        return self.state(0)
-
-    @property
-    def final(self) -> StateVector:
-        return self.state(self.n_points - 1)
 
 
 def drift_hamiltonian(system: SpinSystem) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import StateVector
 from .errors import DomainError
-from .tensors import ProductBasis, ist_operator, spin_operator
+from .tensors import ProductBasis
 
 __all__ = ["parse_state"]
 
@@ -56,7 +56,6 @@ def _parse_coef(text: str) -> complex:
 
 def parse_state(basis: ProductBasis, text: str) -> StateVector:
     """Evaluate a state expression to a unit-norm StateVector."""
-    system = basis.system
     coeffs = np.zeros(basis.dim, dtype=complex)
     terms = _split_terms(text)
     if not terms:
@@ -74,28 +73,17 @@ def parse_state(basis: ProductBasis, text: str) -> StateVector:
             raise DomainError(f"cannot parse state term {term!r}")
         coef = sign * (_parse_coef(match["coef"]) if match["coef"] else 1.0)
         weighted = weighted or match["coef"] is not None
-        if match["cart"]:
-            spin = int(match["spin"])
-            if not 0 <= spin < system.n_spins:
-                raise DomainError(f"spin index {spin} out of range in {term!r}")
-            op = spin_operator(system, spin, match["cart"][1])
-            coeffs += coef * basis.coefficients_of(op)
-        else:
-            spin, l, m = int(match["tspin"]), int(match["l"]), int(match["m"])
-            if not 0 <= spin < system.n_spins:
-                raise DomainError(f"spin index {spin} out of range in {term!r}")
-            op = np.ones((1, 1), dtype=complex)
-            for k, s in enumerate(system.spins):
-                factor = (
-                    ist_operator(s.multiplicity, l, m)  # range-checks l, m
-                    if k == spin
-                    else np.eye(s.multiplicity)
-                )
-                op = np.kron(op, factor)
-            coeffs += coef * basis.coefficients_of(op)
+        try:
+            if match["cart"]:
+                coeffs += coef * basis.local_coefficients(int(match["spin"]), match["cart"][1])
+            else:
+                lm = (int(match["l"]), int(match["m"]))
+                coeffs += coef * basis.local_coefficients(int(match["tspin"]), lm)
+        except DomainError as exc:
+            raise DomainError(f"{exc} in {term!r}") from None
     norm = float(np.linalg.norm(coeffs))
-    if norm == 0.0:
-        raise DomainError(f"state expression {text!r} evaluates to zero")
+    if not 0.0 < norm < np.inf:
+        raise DomainError(f"state expression {text!r} has norm {norm}, which cannot be normalized")
     if weighted and abs(norm - 1.0) > 1e-9:
         warnings.warn(
             f"state expression {text!r} has raw norm {norm:.6g}; normalizing to 1",

@@ -27,11 +27,13 @@ are lossless for IEEE doubles.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
+from .analysis import FAMILIES
 from .engine import ControlSet, Trajectory
 from .errors import DomainError, FormatError, NumericError
 from .system import Coupling, Quadrupole, Spin, SpinSystem
@@ -39,7 +41,6 @@ from .tensors import ProductBasis, product_basis
 
 __all__ = [
     "parse_system",
-    "write_system",
     "read_waveform",
     "write_waveform",
     "read_trajectory",
@@ -77,9 +78,56 @@ def _int(value, where: str, minimum: int) -> int:
     return int(number)
 
 
+def _known_keys(doc: dict, where: str, known: tuple[str, ...]):
+    unknown = set(doc) - set(known)
+    _require(not unknown, where, f"unknown keys {sorted(map(str, unknown))}")
+
+
+def _list(value, where: str) -> list:
+    _require(isinstance(value, list), where, f"expected a list, got {value!r}")
+    return value
+
+
 def _nums(value, where: str) -> tuple[float, ...]:
-    _require(isinstance(value, list), where, f"expected a list of numbers, got {value!r}")
-    return tuple(_num(v, f"{where}[{k}]") for k, v in enumerate(value))
+    return tuple(_num(v, f"{where}[{k}]") for k, v in enumerate(_list(value, where)))
+
+
+def _entries(doc: dict, key: str, required: tuple[str, ...], build) -> tuple:
+    """build(entry, where) of each mapping in the list doc[key]; a missing field
+    or a value the built object rejects is a FormatError naming the entry."""
+    out = []
+    for idx, entry in enumerate(_list(doc.get(key) or [], key)):
+        where = f"{key}[{idx}]"
+        _require(isinstance(entry, dict), where, "must be a mapping")
+        for field in required:
+            _require(field in entry, where, f"missing {field}")
+        try:
+            out.append(build(entry, where))
+        except DomainError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+    return tuple(out)
+
+
+def _data_rows(rows: list[tuple[int, str]], width: int, what: str) -> np.ndarray:
+    """Parse numbered text rows of `width` whitespace-separated floats with numpy.
+
+    A fault is reported with its file line: a field that is not a number or
+    a row with the wrong number of columns.
+    """
+    try:
+        data = np.loadtxt([line for _, line in rows], ndmin=2, comments=None)
+        if data.shape[1] == width:
+            return data
+    except ValueError:
+        pass
+    for ln, line in rows:  # only after a fault: find its line
+        where = f"{what} line {ln}"
+        try:
+            row = np.loadtxt([line], ndmin=2, comments=None)
+        except ValueError:
+            raise FormatError(f"{where}: non-numeric entry in {line!r}") from None
+        _require(row.shape[1] == width, where,
+                 f"expected {width} columns, got {row.shape[1]}")
 
 
 def parse_system(text: str) -> SpinSystem:
@@ -89,86 +137,22 @@ def parse_system(text: str) -> SpinSystem:
     except yaml.YAMLError as exc:
         raise FormatError(f"system document is not valid YAML: {exc}") from None
     _require(isinstance(doc, dict), "system", "top level must be a mapping")
-    unknown = set(doc) - {"spins", "couplings", "quadrupolar"}
-    _require(not unknown, "system", f"unknown keys {sorted(unknown)}")
-    raw_spins = doc.get("spins")
-    _require(isinstance(raw_spins, list) and raw_spins, "spins", "must be a non-empty list")
-    spins = []
-    for idx, entry in enumerate(raw_spins):
-        where = f"spins[{idx}]"
-        _require(isinstance(entry, dict), where, "must be a mapping")
-        _require("isotope" in entry, where, "missing isotope")
-        _require("multiplicity" in entry, where, "missing multiplicity")
-        mult = entry["multiplicity"]
-        _require(isinstance(mult, int) and not isinstance(mult, bool),
-                 f"{where}.multiplicity", f"expected an integer, got {mult!r}")
-        spins.append(
-            Spin(
-                isotope=str(entry["isotope"]),
-                multiplicity=mult,
-                offset=_num(entry.get("offset", 0.0), f"{where}.offset"),
-            )
-        )
-    couplings = []
-    for idx, entry in enumerate(doc.get("couplings") or []):
-        where = f"couplings[{idx}]"
-        _require(isinstance(entry, dict), where, "must be a mapping")
-        for key in ("i", "j", "j_hz"):
-            _require(key in entry, where, f"missing {key}")
-        model = entry.get("model")
-        _require(model in (None, "weak", "strong"), f"{where}.model",
-                 f"must be weak or strong, got {model!r}")
-        try:
-            couplings.append(
-                Coupling(
-                    i=_int(entry["i"], f"{where}.i", 0),
-                    j=_int(entry["j"], f"{where}.j", 0),
-                    j_hz=_num(entry["j_hz"], f"{where}.j_hz"),
-                    model=model,
-                )
-            )
-        except DomainError as exc:
-            raise FormatError(f"{where}: {exc}") from None
-    quads = []
-    for idx, entry in enumerate(doc.get("quadrupolar") or []):
-        where = f"quadrupolar[{idx}]"
-        _require(isinstance(entry, dict), where, "must be a mapping")
-        for key in ("spin", "omega_q"):
-            _require(key in entry, where, f"missing {key}")
-        try:
-            quads.append(
-                Quadrupole(
-                    spin=_int(entry["spin"], f"{where}.spin", 0),
-                    omega_q=_num(entry["omega_q"], f"{where}.omega_q"),
-                    eta=_num(entry.get("eta", 0.0), f"{where}.eta"),
-                )
-            )
-        except DomainError as exc:
-            raise FormatError(f"{where}: {exc}") from None
+    _known_keys(doc, "system", ("spins", "couplings", "quadrupolar"))
+    _require(isinstance(doc.get("spins"), list) and doc["spins"], "spins",
+             "must be a non-empty list")
+    spins = _entries(doc, "spins", ("isotope", "multiplicity"), lambda e, where: Spin(
+        str(e["isotope"]), _int(e["multiplicity"], f"{where}.multiplicity", 2),
+        _num(e.get("offset", 0.0), f"{where}.offset")))
+    couplings = _entries(doc, "couplings", ("i", "j", "j_hz"), lambda e, where: Coupling(
+        _int(e["i"], f"{where}.i", 0), _int(e["j"], f"{where}.j", 0),
+        _num(e["j_hz"], f"{where}.j_hz"), e.get("model")))
+    quads = _entries(doc, "quadrupolar", ("spin", "omega_q"), lambda e, where: Quadrupole(
+        _int(e["spin"], f"{where}.spin", 0), _num(e["omega_q"], f"{where}.omega_q"),
+        _num(e.get("eta", 0.0), f"{where}.eta")))
     try:
-        return SpinSystem(tuple(spins), tuple(couplings), tuple(quads))
+        return SpinSystem(spins, couplings, quads)
     except DomainError as exc:
         raise FormatError(f"system: {exc}") from None
-
-
-def write_system(system: SpinSystem) -> str:
-    doc: dict = {
-        "spins": [
-            {"isotope": s.isotope, "multiplicity": s.multiplicity, "offset": s.offset}
-            for s in system.spins
-        ]
-    }
-    if system.couplings:
-        doc["couplings"] = [
-            {"i": c.i, "j": c.j, "j_hz": c.j_hz, **({"model": c.model} if c.model else {})}
-            for c in system.couplings
-        ]
-    if system.quadrupolar:
-        doc["quadrupolar"] = [
-            {"spin": q.spin, "omega_q": q.omega_q, "eta": q.eta}
-            for q in system.quadrupolar
-        ]
-    return yaml.safe_dump(doc, sort_keys=False)
 
 
 def write_waveform(controls: ControlSet) -> str:
@@ -176,8 +160,7 @@ def write_waveform(controls: ControlSet) -> str:
     out.write(f"# dt={_FMT % controls.dt}\n")
     out.write(f"# power_hz={_FMT % controls.power_hz}\n")
     out.write("# channels=" + ",".join(f"{iso}:{ax}" for iso, ax in controls.channels) + "\n")
-    for n in range(controls.n_steps):
-        out.write(" ".join(_FMT % v for v in controls.amplitudes[:, n]) + "\n")
+    np.savetxt(out, controls.amplitudes.T, fmt=_FMT)
     return out.getvalue()
 
 
@@ -202,20 +185,12 @@ def read_waveform(text: str) -> ControlSet:
                 for ch in channels:
                     _require(len(ch) == 2, where, f"expected isotope:axis, got {ch[0]!r}")
             continue
-        try:
-            row = [float(v) for v in line.split()]
-        except ValueError:
-            raise FormatError(f"waveform line {ln}: non-numeric entry") from None
-        rows.append((ln, row))
+        rows.append((ln, line))
     for key in ("dt", "power_hz"):
         _require(key in header, "waveform", f"missing '# {key}=' header")
     _require(channels is not None, "waveform", "missing '# channels=' header")
     _require(bool(rows), "waveform", "no amplitude rows (n_steps must be >= 1)")
-    width = len(channels)
-    for ln, row in rows:
-        _require(len(row) == width, f"waveform line {ln}",
-                 f"expected {width} columns, got {len(row)}")
-    amps = np.array([row for _, row in rows]).T
+    amps = _data_rows(rows, len(channels), "waveform").T
     if not np.all(np.isfinite(amps)):
         raise NumericError("waveform contains non-finite values")
     return ControlSet(header["dt"], header["power_hz"], channels, amps)
@@ -233,19 +208,18 @@ def write_trajectory(traj: Trajectory) -> str:
         out.write(f"# {key}={value}\n")
     for i, lab in enumerate(traj.basis.labels):
         out.write(f"# label {i} {lab}\n")
-    for n in range(traj.n_points):
-        parts = [_FMT % traj.times[n]]
-        for c in traj.states[n]:
-            parts.append(_FMT % c.real)
-            parts.append(_FMT % c.imag)
-        out.write(" ".join(parts) + "\n")
+    rows = np.empty((traj.n_points, 1 + 2 * traj.basis.dim))
+    rows[:, 0] = traj.times
+    rows[:, 1::2] = traj.states.real
+    rows[:, 2::2] = traj.states.imag
+    np.savetxt(out, rows, fmt=_FMT)
     return out.getvalue()
 
 
 def read_trajectory(text: str, expected_basis: ProductBasis | None = None) -> Trajectory:
     isotopes: list[str] | None = None
     mults: list[int] | None = None
-    labels: list[tuple[int, str]] = []
+    labels: dict[int, tuple[int, str]] = {}  # basis index -> (file line, label)
     provenance: dict = {}
     rows = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -255,8 +229,10 @@ def read_trajectory(text: str, expected_basis: ProductBasis | None = None) -> Tr
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("label "):
-                _, idx, rest = body.split(" ", 2)
-                labels.append((int(idx), rest.strip()))
+                parts = body.split(None, 2)
+                _require(len(parts) == 3 and parts[1].isdecimal(), f"trajectory line {ln}",
+                         f"expected '# label <index> <label>', got {line!r}")
+                labels[int(parts[1])] = (ln, parts[2])
             elif "=" in body:
                 key, _, value = body.partition("=")
                 key = key.strip()
@@ -264,36 +240,40 @@ def read_trajectory(text: str, expected_basis: ProductBasis | None = None) -> Tr
                 if key == "isotopes":
                     isotopes = value.split(",")
                 elif key == "multiplicities":
+                    _require(all(v.strip().isdecimal() for v in value.split(",")),
+                             f"trajectory line {ln}: '# multiplicities='",
+                             f"expected comma-separated integers, got {value!r}")
                     mults = [int(v) for v in value.split(",")]
                 elif key != "dt":
                     provenance[key] = value
             continue
-        try:
-            rows.append([float(v) for v in line.split()])
-        except ValueError:
-            raise FormatError(f"trajectory line {ln}: non-numeric entry") from None
+        rows.append((ln, line))
     _require(isotopes is not None and mults is not None, "trajectory",
              "missing isotopes/multiplicities headers")
     _require(len(isotopes) == len(mults), "trajectory",
              "isotopes and multiplicities disagree in length")
-    system = SpinSystem(tuple(Spin(iso, m) for iso, m in zip(isotopes, mults)))
+    dim = math.prod(m * m for m in mults)
+    _require(len(labels) == dim, "trajectory",
+             f"label table has {len(labels)} entries, basis needs {dim}")
+    try:
+        system = SpinSystem(tuple(Spin(iso, m) for iso, m in zip(isotopes, mults)))
+    except DomainError as exc:
+        raise FormatError(f"trajectory: {exc}") from None
     basis = expected_basis if expected_basis is not None else product_basis(system)
     _require(basis.system.multiplicities == tuple(mults), "trajectory",
              "multiplicities do not match the expected basis")
-    _require(len(labels) == basis.dim, "trajectory",
-             f"label table has {len(labels)} entries, basis needs {basis.dim}")
-    for idx, text_label in labels:
+    for idx, (ln, text_label) in labels.items():
+        _require(idx < basis.dim, f"trajectory line {ln}",
+                 f"basis label {idx} out of range for a basis of {basis.dim} states")
         if str(basis.labels[idx]) != text_label:
             raise FormatError(
                 f"trajectory: basis label {idx} is {text_label}, expected "
                 f"{basis.labels[idx]} (foreign basis ordering)"
             )
     _require(bool(rows), "trajectory", "no data rows")
-    width = 1 + 2 * basis.dim
-    for row in rows:
-        _require(len(row) == width, "trajectory",
-                 f"expected {width} columns per row, got {len(row)}")
-    data = np.array(rows)
+    data = _data_rows(rows, 1 + 2 * basis.dim, "trajectory")
+    if not np.all(np.isfinite(data)):
+        raise NumericError("trajectory contains non-finite values")
     times = data[:, 0]
     states = data[:, 1::2] + 1j * data[:, 2::2]
     return Trajectory(times, states, basis, provenance)
@@ -327,12 +307,14 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
 
     `system_loader` maps the config's `system` value (a path) to document text;
     alternatively the config may inline the system under the `system` key.
+    Unknown keys are rejected, so a misspelt option is never ignored.
     """
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise FormatError(f"config is not valid YAML: {exc}") from None
     _require(isinstance(doc, dict), "config", "top level must be a mapping")
+    _known_keys(doc, "config", ("system", "seed", "problem", "analysis"))
     _require("system" in doc, "config", "missing system")
     _require("seed" in doc, "config", "seed is mandatory for optimize runs")
     raw_sys = doc["system"]
@@ -344,6 +326,10 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
         system = parse_system(yaml.safe_dump(raw_sys))
     prob = doc.get("problem")
     _require(isinstance(prob, dict), "config.problem", "must be a mapping")
+    _known_keys(prob, "config.problem", (
+        "initial", "target", "parametrization", "duration", "dt", "n_steps", "power_hz",
+        "channels", "ensemble", "max_iterations", "tolerance", "power_penalty",
+        "fidelity_stop"))
     for key in ("initial", "target", "n_steps", "power_hz", "channels"):
         _require(key in prob, "config.problem", f"missing {key}")
     n_steps = _int(prob["n_steps"], "config.problem.n_steps", 1)
@@ -352,15 +338,22 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
     else:
         _require("duration" in prob, "config.problem", "needs dt or duration")
         dt = _num(prob["duration"], "config.problem.duration") / n_steps
-    channels = tuple(tuple(str(ch).split(":", 1)) for ch in prob["channels"])
+    channels = tuple(tuple(str(ch).split(":", 1))
+                     for ch in _list(prob["channels"], "config.problem.channels"))
+    _require(bool(channels), "config.problem.channels", "needs at least one channel")
     for ch in channels:
         _require(len(ch) == 2 and ch[1] in ("x", "y"), "config.problem.channels",
                  f"bad channel {':'.join(ch)!r}")
     ens = prob.get("ensemble") or {}
     _require(isinstance(ens, dict), "config.problem.ensemble", "must be a mapping")
+    _known_keys(ens, "config.problem.ensemble", ("offsets", "power_scales", "isotope"))
     analysis = doc.get("analysis") or {}
     _require(isinstance(analysis, dict), "config.analysis", "must be a mapping")
-    specs = tuple(analysis.get("specs", ()))
+    _known_keys(analysis, "config.analysis", ("specs",))
+    specs = tuple(_list(analysis.get("specs", []), "config.analysis.specs"))
+    for k, spec in enumerate(specs):
+        _require(isinstance(spec, str) and spec in FAMILIES, f"config.analysis.specs[{k}]",
+                 f"expected one of {', '.join(FAMILIES)}, got {spec!r}")
     fid_stop = prob.get("fidelity_stop")
     return ExperimentConfig(
         system=system,

@@ -101,6 +101,8 @@ class ControlProblem:
         for name, sv in (("rho0", self.rho0), ("target", self.target)):
             if abs(sv.norm - 1.0) > 1e-9:
                 raise DomainError(f"{name} must have unit norm, got {sv.norm}")
+        if self.ensemble.isotope is not None:
+            self.system.spins_of_isotope(self.ensemble.isotope)  # raises if none
         if self.power_penalty < 0:
             raise DomainError("power_penalty must be nonnegative")
         if self.power_penalty > 0 and self.parametrization == "phases":

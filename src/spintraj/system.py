@@ -113,19 +113,6 @@ class SpinSystem:
             d *= s.multiplicity
         return d
 
-    @property
-    def liouville_dim(self) -> int:
-        return self.hilbert_dim ** 2
-
-    @property
-    def isotopes(self) -> tuple[str, ...]:
-        """Distinct isotope labels in first-appearance order."""
-        seen: list[str] = []
-        for s in self.spins:
-            if s.isotope not in seen:
-                seen.append(s.isotope)
-        return tuple(seen)
-
     def spins_of_isotope(self, isotope: str) -> tuple[int, ...]:
         idx = tuple(k for k, s in enumerate(self.spins) if s.isotope == isotope)
         if not idx:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -87,11 +87,8 @@ def spin_operator(system: SpinSystem, spin: int, which: str) -> np.ndarray:
     """Hilbert-space operator of one spin embedded by Kronecker products with identities."""
     if not 0 <= spin < system.n_spins:
         raise DomainError(f"spin index {spin} out of range")
-    out = np.ones((1, 1), dtype=complex)
-    for k, s in enumerate(system.spins):
-        factor = angular_momentum(s.multiplicity, which if k == spin else "e")
-        out = np.kron(out, factor)
-    return out
+    return reduce(np.kron, [angular_momentum(s.multiplicity, which if k == spin else "e")
+                            for k, s in enumerate(system.spins)], np.ones((1, 1), complex))
 
 
 @dataclass(frozen=True)
@@ -136,21 +133,14 @@ class ProductBasis:
     def hilbert_dim(self) -> int:
         return self.system.hilbert_dim
 
-    def matrix(self, i: int) -> np.ndarray:
-        """Hilbert-space matrix realization of basis state i."""
-        lab = self.labels[i]
-        out = np.ones((1, 1), dtype=complex)
-        for n, (l, m) in zip(self.system.multiplicities, lab.components):
-            out = np.kron(out, ist_operator(n, l, m))
-        return out
-
     @cached_property
     def vectorization_matrix(self) -> np.ndarray:
-        """Columns are row-major vectorizations of the basis matrices (a unitary D x D map)."""
-        d2 = self.hilbert_dim ** 2
-        u = np.empty((d2, self.dim), dtype=complex)
-        for i in range(self.dim):
-            u[:, i] = self.matrix(i).reshape(-1)
+        """Columns are row-major vectorizations of the basis matrices, the Kronecker
+        products of the per-spin tensors (a unitary D x D map)."""
+        u = np.empty((self.hilbert_dim ** 2, self.dim), dtype=complex)
+        for i, lab in enumerate(self.labels):
+            u[:, i] = reduce(np.kron, [ist_operator(n, l, m) for n, (l, m)
+                                       in zip(self.system.multiplicities, lab.components)]).ravel()
         return u
 
     def coefficients_of(self, op: np.ndarray) -> np.ndarray:
@@ -169,6 +159,32 @@ class ProductBasis:
             coefficients.shape[:-1] + (d, d)
         )
 
+    def local_coefficients(self, spin: int, which) -> np.ndarray:
+        """Coefficients of one spin's operator, with identities on the other spins.
+
+        `which` is (l, m) for T(l, m), or "x", "y" or "z" for the Cartesian S,
+        which is the sum of its rank-1 terms Tr(T(1, m)^dagger S) T(1, m). The
+        basis state with (l, m) on `spin` and (0, 0) elsewhere is T(l, m) times
+        E/sqrt(n_j) on every other spin j, so each term is that one basis
+        vector scaled by prod_{j != spin} sqrt(n_j); no Hilbert-space matrix
+        is built.
+        """
+        mults = self.system.multiplicities
+        if not 0 <= spin < len(mults):
+            raise DomainError(f"spin index {spin} out of range")
+        n = mults[spin]
+        if isinstance(which, str):
+            s = angular_momentum(n, which)
+            terms = [((1, m), np.vdot(ist_operator(n, 1, m), s)) for m in (-1, 0, 1)]
+        else:
+            ist_operator(n, *which)  # range-checks l and m
+            terms = [(which, 1.0)]
+        unit = ((0, 0),) * len(mults)
+        out = np.zeros(self.dim, dtype=complex)
+        for lm, c in terms:
+            out[self.index[unit[:spin] + (lm,) + unit[spin + 1:]]] = c
+        return math.sqrt(math.prod(mults) // n) * out
+
     def correlation_orders(self) -> np.ndarray:
         return np.array([lab.correlation_order() for lab in self.labels])
 
@@ -180,9 +196,6 @@ class ProductBasis:
             isinstance(other, ProductBasis)
             and self.system.multiplicities == other.system.multiplicities
         )
-
-    def __len__(self) -> int:
-        return self.dim
 
 
 def product_basis(system: SpinSystem) -> ProductBasis:

@@ -31,7 +31,6 @@ from spintraj import (
     Ensemble,
     Spin,
     SpinSystem,
-    StateVector,
     grape_gradient,
     optimize,
     product_basis,
@@ -43,6 +42,7 @@ from spintraj import (
 from spintraj.cli import main as cli_main
 from spintraj.expressions import parse_state
 from spintraj.fileio import parse_config, read_trajectory
+from test_grape import normalized_operator_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -238,11 +238,11 @@ def _random_gradient_problem(seed):
         amplitudes=rng.uniform(-1, 1, (len(channels), n_steps)),
     )
     z0 = spin_operator(system, 0, "z")
-    rho0 = StateVector.from_hilbert_operator(basis, z0, normalize=True)
+    rho0 = normalized_operator_state(basis, z0)
     tgt = spin_operator(system, 0, "x")
     if n_spins == 2:
         tgt = tgt + spin_operator(system, 1, "y")
-    target = StateVector.from_hilbert_operator(basis, tgt, normalize=True)
+    target = normalized_operator_state(basis, tgt)
     return ControlProblem(system=system, rho0=rho0, target=target,
                           controls=controls), controls
 

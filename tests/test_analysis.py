@@ -16,7 +16,6 @@ from spintraj import (
     build_projector,
     commutation_superoperator,
     involvement_report,
-    population,
     population_series,
     product_basis,
     propagate,
@@ -26,11 +25,17 @@ from spintraj import (
     spin_operator,
 )
 from spintraj.errors import DomainError
+from test_grape import normalized_operator_state
 
 
 @pytest.fixture(scope="module")
 def two_spin_basis():
     return product_basis(SpinSystem((Spin("1H", 2, 250.0), Spin("1H", 2, -130.0))))
+
+
+def population(p, rho):
+    """Norm of the projected state: ||P rho||."""
+    return float(np.linalg.norm(rho.coefficients[p.mask]))
 
 
 def unit_state(basis, components):
@@ -124,7 +129,7 @@ class TestStateGrouping:
         system = two_spin_basis.system
         for axis in ("x", "y"):
             op = spin_operator(system, 0, axis)
-            rho = StateVector.from_hilbert_operator(two_spin_basis, op, normalize=True)
+            rho = normalized_operator_state(two_spin_basis, op)
             grouped = sg_transform(static_trajectory(rho))
             assert abs(grouped.values[0].max() - 1.0) < 1e-12
             orbit = grouped.group_table[int(np.argmax(grouped.values[0]))]
@@ -165,7 +170,7 @@ class TestStateGrouping:
 class TestBroadStateGrouping:
     def test_local_transverse_state(self, two_spin_basis):
         op = spin_operator(two_spin_basis.system, 0, "x")
-        rho = StateVector.from_hilbert_operator(two_spin_basis, op, normalize=True)
+        rho = normalized_operator_state(two_spin_basis, op)
         image = bsg_transform(static_trajectory(rho)).values[0]
         assert np.allclose(image, [1.0, 0.0], atol=1e-12)
 
@@ -255,12 +260,8 @@ class TestSimilarityScores:
             dt=5e-5, power_hz=1000.0, channels=(("1H", "x"),),
             amplitudes=np.zeros((1, 60)),
         )
-        rho_x = StateVector.from_hilbert_operator(
-            basis, spin_operator(system, 0, "x"), normalize=True
-        )
-        rho_y = StateVector.from_hilbert_operator(
-            basis, spin_operator(system, 0, "y"), normalize=True
-        )
+        rho_x = normalized_operator_state(basis, spin_operator(system, 0, "x"))
+        rho_y = normalized_operator_state(basis, spin_operator(system, 0, "y"))
         ta = propagate(system, controls, rho_x)
         tb = propagate(system, controls, rho_y)
         plain = rsp(ta, tb, "none")
@@ -277,9 +278,7 @@ class TestInvolvementReport:
             dt=1e-4, power_hz=2000.0, channels=(("1H", "x"),),
             amplitudes=np.ones((1, 20)),
         )
-        rho0 = StateVector.from_hilbert_operator(
-            basis, spin_operator(system, 0, "z"), normalize=True
-        )
+        rho0 = normalized_operator_state(basis, spin_operator(system, 0, "z"))
         traj = propagate(system, controls, rho0)
         report = involvement_report(traj, threshold=0.1)
         assert report[1]["max_involvement"] < 1e-9

@@ -13,7 +13,8 @@ from spintraj import (
 )
 from spintraj.cli import main
 from spintraj.expressions import parse_state
-from spintraj.fileio import read_trajectory, write_system, write_waveform
+from spintraj.fileio import read_trajectory, write_waveform
+from test_fileio import write_system
 
 ONE_SPIN = SpinSystem((Spin("1H", 2, 150.0),))
 
@@ -147,6 +148,18 @@ class TestOptimizeCommand:
         assert report["final_fidelity"] > 0.99
         assert report["seed"] == 3
 
+    def test_analysis_specs_match_analyze(self, tmp_path, capsys):
+        specs = ["corr-orders", "coh-orders", "local", "involvement"]
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG + f"analysis:\n  specs: [{', '.join(specs)}]\n")
+        run, again = tmp_path / "run", tmp_path / "again"
+        assert main(["optimize", "--config", str(cfg), "--out", str(run)]) == 0
+        for spec in specs:
+            assert main(["analyze", "--trajectory", str(run / "trajectory.txt"),
+                         "--spec", spec, "--out", str(again)]) == 0
+            name = spec.replace("-", "_") + ".csv"
+            assert (run / name).read_bytes() == (again / name).read_bytes()
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
@@ -229,6 +242,56 @@ class TestExitCodes:
         code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 5
         assert "power_penalty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("channels: [1H:x, 1H:y]", "channels: 5", "config.problem.channels"),
+        ("channels: [1H:x, 1H:y]", "channels: []", "config.problem.channels"),
+        ("seed: 3", "seed: 3\nanalysis: {specs: 5}", "config.analysis.specs"),
+        ("seed: 3", "seed: 3\nanalysis: {specs: local}", "config.analysis.specs"),
+        ("seed: 3", "seed: 3\nanalysis: {specs: [local, nonsense]}",
+         "config.analysis.specs[1]"),
+        ("seed: 3", "seed: 3\nmax_iterations: 1", "max_iterations"),
+        ("max_iterations: 60", "max_iteration: 1", "max_iteration"),
+        ("max_iterations: 60", "max_iterations: 60\n  fidelty_stop: 0.5", "fidelty_stop"),
+        ("max_iterations: 60", "max_iterations: 60\n  ensemble: {offset: [1.0]}", "offset"),
+        ("seed: 3", "seed: 3\nanalysis: {spec: [local]}", "spec"),
+    ])
+    def test_config_shapes_and_unknown_keys(self, tmp_path, capsys, old, new, field):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG.replace(old, new))
+        code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("isotope", ["15N", "[1H]"])
+    def test_ensemble_isotope_not_in_system(self, tmp_path, capsys, isotope):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG.replace(
+            "max_iterations: 60",
+            f"max_iterations: 60\n  ensemble: {{offsets: [0.0, 100.0], isotope: {isotope}}}"))
+        code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 5
+        assert "isotope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("# label 3 (1,1)", "# label 3"),
+        ("# label 3 (1,1)", "# label x (1,1)"),
+        ("# label 3 (1,1)", "# label 99 (1,1)"),
+        ("# multiplicities=2", "# multiplicities=2,x"),
+    ])
+    def test_malformed_trajectory_header(self, tmp_path, one_spin_files, capsys, old, new):
+        sys_path, wave_path, _ = one_spin_files
+        run = tmp_path / "run"
+        main(["simulate", "--system", str(sys_path), "--waveform", str(wave_path),
+              "--initial", "Lz(0)", "--out", str(run)])
+        lines = (run / "trajectory.txt").read_text().splitlines()
+        line = lines.index(old)
+        lines[line] = new
+        (run / "trajectory.txt").write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--trajectory", str(run / "trajectory.txt"),
+                     "--spec", "local", "--out", str(run)])
+        assert code == 4
+        assert f"trajectory line {line + 1}" in capsys.readouterr().err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -283,7 +283,7 @@ class TestPropagate:
         rho0 = basis_state(basis, ((1, 0),))
         traj = propagate(system, controls, rho0)
         assert np.allclose(
-            traj.final.coefficients, -rho0.coefficients, atol=1e-9
+            traj.states[-1], -rho0.coefficients, atol=1e-9
         )
 
     def test_norm_conservation(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from spintraj import ControlSet, Spin, SpinSystem, Trajectory, product_basis
 from spintraj.errors import FormatError, NumericError
@@ -8,10 +9,30 @@ from spintraj.fileio import (
     parse_system,
     read_trajectory,
     read_waveform,
-    write_system,
     write_trajectory,
     write_waveform,
 )
+
+def write_system(system: SpinSystem) -> str:
+    """The YAML system document of a system, the inverse of parse_system."""
+    doc: dict = {
+        "spins": [
+            {"isotope": s.isotope, "multiplicity": s.multiplicity, "offset": s.offset}
+            for s in system.spins
+        ]
+    }
+    if system.couplings:
+        doc["couplings"] = [
+            {"i": c.i, "j": c.j, "j_hz": c.j_hz, **({"model": c.model} if c.model else {})}
+            for c in system.couplings
+        ]
+    if system.quadrupolar:
+        doc["quadrupolar"] = [
+            {"spin": q.spin, "omega_q": q.omega_q, "eta": q.eta}
+            for q in system.quadrupolar
+        ]
+    return yaml.safe_dump(doc, sort_keys=False)
+
 
 MINIMAL_SYSTEM = """
 spins:
@@ -189,3 +210,49 @@ analysis:
         )
         cfg = parse_config(text, system_loader=lambda p: MINIMAL_SYSTEM)
         assert cfg.system.spins[0].offset == 50.0
+
+
+class TestTextTableBytes:
+    """The numpy writers produce the bytes of per-value %-formatting loops,
+    kept here as the oracle, on values that include -0.0 and subnormals."""
+
+    SPECIAL = (-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1.0 / 3.0)
+
+    def values(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        out = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+        flat = out.reshape(-1)
+        flat[: len(self.SPECIAL)] = self.SPECIAL
+        return out
+
+    def test_trajectory_rows(self):
+        basis = product_basis(SpinSystem((Spin("1H", 2), Spin("14N", 3))))
+        states = self.values((7, basis.dim), 1) + 1j * self.values((7, basis.dim), 2)
+        times = self.values((7,), 3)
+        traj = Trajectory(times, states, basis, {"system_hash": "abc"})
+        text = write_trajectory(traj)
+        oracle = "".join(
+            " ".join(["%.17g" % times[n]]
+                     + [f"{'%.17g' % c.real} {'%.17g' % c.imag}" for c in states[n]]) + "\n"
+            for n in range(traj.n_points)
+        )
+        assert text.endswith(oracle)
+        assert text[: -len(oracle)].count("\n") == text[: -len(oracle)].count("# ")
+
+    def test_waveform_rows(self):
+        amps = self.values((3, 9), 4)
+        text = write_waveform(ControlSet(1e-5, 2000.0, (("1H", "x"), ("1H", "y"),
+                                                        ("13C", "x")), amps))
+        oracle = "".join(" ".join("%.17g" % v for v in amps[:, n]) + "\n"
+                         for n in range(amps.shape[1]))
+        assert text == "# dt=1.0000000000000001e-05\n# power_hz=2000\n" \
+            "# channels=1H:x,1H:y,13C:x\n" + oracle
+
+    def test_csv_rows(self, tmp_path):
+        from spintraj.cli import _write_csv
+
+        columns = [self.values((11,), 5), self.values((11,), 6), self.values((11,), 7)]
+        _write_csv(tmp_path / "t.csv", ["time", "a", "b"], columns)
+        oracle = "time,a,b\n" + "".join(
+            ",".join("%.12g" % col[n] for col in columns) + "\n" for n in range(11))
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == oracle

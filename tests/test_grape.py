@@ -21,7 +21,9 @@ from spintraj.errors import DomainError
 
 
 def normalized_operator_state(basis, op):
-    return StateVector.from_hilbert_operator(basis, op, normalize=True)
+    """The unit-norm state of a Hilbert-space operator."""
+    c = basis.coefficients_of(op)
+    return StateVector(c / np.linalg.norm(c), basis)
 
 
 def random_problem(seed, n_steps=5):
@@ -185,7 +187,7 @@ class TestEnsembleFidelity:
         result = ensemble_fidelity(problem, controls)
         traj = propagate(problem.system, controls, problem.rho0)
         assert result["mean"] == pytest.approx(
-            fidelity(traj.final, problem.target), abs=1e-12
+            fidelity(StateVector(traj.states[-1], traj.basis), problem.target), abs=1e-12
         )
         assert len(result["per_member"]) == 1
 

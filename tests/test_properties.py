@@ -7,6 +7,9 @@ propagation and gradient core is checked against Liouville-space oracles that
 share none of its code: a product of exp(-i L dt) superoperator exponentials
 for propagation, and the augmented block exponential for the gradient.
 Examples are derandomized, so every run checks the same systems.
+
+State expressions are checked over spin-1/2, spin-1 and spin-3/2 systems
+against operators built by Kronecker products with identities.
 """
 
 import math
@@ -28,9 +31,12 @@ from spintraj import (
     control_operators,
     drift_hamiltonian,
     grape_gradient,
+    ist_operator,
     product_basis,
     propagate,
 )
+from spintraj.expressions import parse_state
+from spintraj.tensors import angular_momentum
 from test_engine import step_propagator
 
 PROPERTY_SETTINGS = settings(
@@ -62,7 +68,8 @@ def control_problems(draw):
         for k, m in enumerate(mults) if m == 3 and draw(st.booleans())
     )
     system = SpinSystem(spins, couplings, quads)
-    all_channels = [(iso, ax) for iso in system.isotopes for ax in ("x", "y")]
+    isotopes = tuple(dict.fromkeys(s.isotope for s in spins))
+    all_channels = [(iso, ax) for iso in isotopes for ax in ("x", "y")]
     channels = draw(st.lists(st.sampled_from(all_channels), min_size=1,
                              max_size=len(all_channels), unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -82,7 +89,7 @@ def control_problems(draw):
     ensemble = Ensemble(
         offsets=tuple(draw(st.floats(-500.0, 500.0)) for _ in range(n_members[0])),
         power_scales=tuple(draw(st.floats(0.7, 1.3)) for _ in range(n_members[1])),
-        isotope=draw(st.sampled_from((None,) + system.isotopes)),
+        isotope=draw(st.sampled_from((None,) + isotopes)),
     )
     return ControlProblem(system, random_state(), random_state(), controls,
                           ensemble=ensemble)
@@ -123,3 +130,27 @@ def test_gradient_matches_augmented_oracle(problem):
     exact = grape_gradient(problem, problem.controls)
     oracle = grape_gradient(problem, problem.controls, method="augmented")
     assert np.max(np.abs(exact - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def kron_embedded(system, spin, single):
+    """The one-spin operator `single` on `spin`, identities on every other spin."""
+    op = np.ones((1, 1), dtype=complex)
+    for k, s in enumerate(system.spins):
+        op = np.kron(op, single if k == spin else np.eye(s.multiplicity))
+    return op
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3)
+       .filter(lambda m: math.prod(m) <= 16))
+def test_primitives_match_kronecker_oracle(mults):
+    system = SpinSystem(tuple(Spin("1H", m) for m in mults))
+    basis = product_basis(system)
+    for k, n in enumerate(mults):
+        primitives = [(f"L{a}({k})", angular_momentum(n, a)) for a in "xyz"]
+        primitives += [(f"T({k},{l},{m})", ist_operator(n, l, m))
+                       for l in range(n) for m in range(-l, l + 1)]
+        for text, single in primitives:
+            c = basis.coefficients_of(kron_embedded(system, k, single))
+            oracle = c / np.linalg.norm(c)
+            assert np.max(np.abs(parse_state(basis, text).coefficients - oracle)) <= 1e-15
