@@ -6,9 +6,8 @@ vectors over the IST Liouville basis, but propagated in Hilbert space: the
 system is closed (no relaxation), so exp(-i L_n dt) rho equals
 U_n rho U_n^dagger with U_n = exp(-i H_n dt) and
 H_n = H0 + sum_k 2*pi*power*c_k[n]*H_k. One batched d x d eigh gives every
-U_n; the basis is touched only at the edges, through the unitary
-vectorization matrix. Memory per propagation is [T, d, d], not [T, D, D]
-with D = d^2.
+U_n; the basis is touched only at the edges, through the per-spin factored
+basis map. Memory per propagation is [T, d, d], not [T, D, D] with D = d^2.
 
 For d = 2 (one spin-1/2) numpy's batched eigh and matmul cost about a
 microsecond per matrix in call overhead, far more than the arithmetic. There
@@ -195,11 +194,8 @@ def commutation_superoperator(h: np.ndarray, basis: ProductBasis) -> np.ndarray:
         raise DomainError(
             f"Hamiltonian shape {h.shape} does not match Hilbert dimension {d}"
         )
-    eye = np.eye(d)
-    # Row-major vectorization: vec([H, rho]) = (H x E - E x H^T) vec(rho)
-    l_vec = np.kron(h, eye) - np.kron(eye, h.T)
-    u = basis.vectorization_matrix
-    return u.conj().T @ l_vec @ u
+    b = basis.operator_of(np.eye(basis.dim))  # [D, d, d] basis matrices
+    return basis.coefficients_of(h @ b - b @ h).T
 
 
 def step_hamiltonians(
@@ -294,8 +290,9 @@ def propagate(
     weights = TWO_PI * controls.power_hz * controls.amplitudes
     hams = step_hamiltonians(drift_hamiltonian(system), ops, weights)
     u, _, _ = step_unitaries(hams, controls.dt)
-    rho = forward_sweep(u, basis.operator_of(rho0.coefficients))
+    states = basis.coefficients_of(forward_sweep(u, basis.operator_of(rho0.coefficients)))
+    states[0] = rho0.coefficients
     times = controls.dt * np.arange(controls.n_steps + 1)
     h = hashlib.sha256(repr(system).encode()).hexdigest()[:16]
     prov = {"system_hash": h, "control_hash": controls.content_hash()}
-    return Trajectory(times, basis.coefficients_of(rho), basis, prov)
+    return Trajectory(times, states, basis, prov)

@@ -184,6 +184,8 @@ def read_waveform(text: str) -> ControlSet:
                 channels = tuple(tuple(part.split(":", 1)) for part in value.split(","))
                 for ch in channels:
                     _require(len(ch) == 2, where, f"expected isotope:axis, got {ch[0]!r}")
+            else:
+                raise FormatError(f"{where}: unknown header; expected dt, power_hz or channels")
             continue
         rows.append((ln, line))
     for key in ("dt", "power_hz"):

@@ -2,10 +2,11 @@
 
 The objective is the real state-transfer overlap Re<target|rho(T)>, averaged
 over an ensemble of offset shifts and control-power scalings. rho0 and target
-are given in the IST Liouville basis; the optimizer works on them as d x d
-matrices through the engine's Hilbert-space core, which holds because the
-system is closed: each evaluation is one batched eigh of the [M, T, d, d]
-step Hamiltonians, a forward sweep rho_{n+1} = U_n rho_n U_n^dagger and a
+are given in the IST Liouville basis; the optimizer maps them to d x d
+matrices once, through ProductBasis's per-spin factored map, and works on
+them in the engine's Hilbert-space core, which holds because the system is
+closed: each evaluation is one batched eigh of the [M, T, d, d] step
+Hamiltonians, a forward sweep rho_{n+1} = U_n rho_n U_n^dagger and a
 backward sweep chi_n = U_n^dagger chi_{n+1} U_n (M members, T steps, memory
 [M, T, d, d] instead of [M, T, D, D] with D = d^2). Gradients are exact
 (de Fouquieres, Schirmer, Glaser & Kuprov, JMR 212 (2011) 412): the
@@ -27,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .engine import (
     TWO_PI,
@@ -227,6 +226,7 @@ def _augmented_gradient(problem: ControlProblem, controls: ControlSet) -> np.nda
     """Liouville-space gradient: every step propagator exp(A) and its directional
     derivative from one block-triangular augmented exponential
     [[A, E], [0, A]] (Goodwin & Kuprov, JCP 143 (2015) 084113)."""
+    import scipy.linalg
     basis = problem.rho0.basis
     sys, ens = problem.system, problem.ensemble
     ops = control_operators(sys, controls.channels)
@@ -320,6 +320,7 @@ def _initial_controls(problem: ControlProblem) -> tuple[ControlSet, np.ndarray]:
 def optimize(problem: ControlProblem) -> OptimizationReport:
     """Maximize the ensemble-mean fidelity by L-BFGS ascent; never raises on
     line-search failure (returns the best controls seen with a status flag)."""
+    import scipy.optimize  # on first use: commands that never optimize do not load scipy
     controls0, x0 = _initial_controls(problem)
     ws = _EnsembleWorkspace(problem, controls0)
     phases_mode = problem.parametrization == "phases"

@@ -5,7 +5,9 @@ the Condon-Shortley phase convention, with the top state taken as
 T(l, l) = (-1)^l (S+)^l / ||(S+)^l|| and lower projections generated by the
 commutator lowering recursion. The multi-spin basis is the Kronecker product
 of per-spin tensors, spin 0 leftmost, labels ordered lexicographically over
-per-spin (l, m) with m ascending within each rank.
+per-spin (l, m) with m ascending within each rank. Basis changes contract
+each spin's axes with its own n^2 tensors in turn (the Kronecker matrix-vector
+product, Van Loan 2000): O(D sum_k n_k^2) time and no D x D matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -124,6 +126,9 @@ class ProductBasis:
         self.index: dict[tuple[tuple[int, int], ...], int] = {
             lab.components: i for i, lab in enumerate(self.labels)
         }
+        # per spin, the [n, n, n^2] stack of its T(l, m) in label order
+        self._tensors = [np.stack([ist_operator(n, l, m) for l, m in labels], axis=-1)
+                         for n, labels in zip(system.multiplicities, per_spin)]
 
     @property
     def dim(self) -> int:
@@ -133,31 +138,25 @@ class ProductBasis:
     def hilbert_dim(self) -> int:
         return self.system.hilbert_dim
 
-    @cached_property
-    def vectorization_matrix(self) -> np.ndarray:
-        """Columns are row-major vectorizations of the basis matrices, the Kronecker
-        products of the per-spin tensors (a unitary D x D map)."""
-        u = np.empty((self.hilbert_dim ** 2, self.dim), dtype=complex)
-        for i, lab in enumerate(self.labels):
-            u[:, i] = reduce(np.kron, [ist_operator(n, l, m) for n, (l, m)
-                                       in zip(self.system.multiplicities, lab.components)]).ravel()
-        return u
-
     def coefficients_of(self, op: np.ndarray) -> np.ndarray:
         """Expansion coefficients c_i = Tr(B_i^dagger op) of one operator or a stack."""
-        d = self.hilbert_dim
+        d, mults = self.hilbert_dim, self.system.multiplicities
         if op.shape[-2:] != (d, d):
             raise DomainError(
                 f"operator shape {op.shape} does not match Hilbert dimension {d}"
             )
-        return op.reshape(op.shape[:-2] + (d * d,)) @ self.vectorization_matrix.conj()
+        x = op.reshape((-1,) + mults + mults)
+        for k, t in enumerate(self._tensors):  # spin k's row and column axes -> its labels, last
+            x = np.tensordot(x, t.conj(), ([1, 1 + len(mults) - k], [0, 1]))
+        return x.reshape(op.shape[:-2] + (self.dim,))
 
     def operator_of(self, coefficients: np.ndarray) -> np.ndarray:
         """Hilbert-space operator sum_i c_i B_i of a coefficient vector (or a stack)."""
-        d = self.hilbert_dim
-        return (coefficients @ self.vectorization_matrix.T).reshape(
-            coefficients.shape[:-1] + (d, d)
-        )
+        x = coefficients.reshape((-1,) + tuple(n * n for n in self.system.multiplicities))
+        for t in self._tensors:  # each spin's label axis -> its row and column axes, last
+            x = np.tensordot(x, t, ([1], [2]))
+        x = x.transpose(0, *range(1, x.ndim, 2), *range(2, x.ndim, 2))
+        return x.reshape(coefficients.shape[:-1] + (self.hilbert_dim,) * 2)
 
     def local_coefficients(self, spin: int, which) -> np.ndarray:
         """Coefficients of one spin's operator, with identities on the other spins.

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,7 @@ from spintraj.fileio import read_trajectory, write_waveform
 from test_fileio import write_system
 
 ONE_SPIN = SpinSystem((Spin("1H", 2, 150.0),))
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_CONFIG = """
 system:
@@ -161,6 +167,36 @@ class TestOptimizeCommand:
             assert (run / name).read_bytes() == (again / name).read_bytes()
 
 
+def _python(args, **env):
+    """Run the interpreter on src/ in a fresh process with extra environment."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+
+
+class TestProcesses:
+    def test_import_leaves_scipy_unloaded(self):
+        proc = _python(["-c", "import sys, spintraj.cli; print('scipy' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_optimize_identical_at_one_and_two_blas_threads(self, tmp_path):
+        cfg = (ROOT / "configs" / "backbone_relay.yaml").read_text()
+        (tmp_path / "relay.yaml").write_text(
+            cfg.replace("max_iterations: 1000", "max_iterations: 20"))
+        (tmp_path / "backbone.yaml").write_text((ROOT / "configs" / "backbone.yaml").read_text())
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = _python(["-m", "spintraj.cli", "optimize", "--config",
+                            str(tmp_path / "relay.yaml"), "--out", str(out)],
+                           OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("waveform.txt", "trajectory.txt", "report.json")])
+        assert outputs[0] == outputs[1]
+
+
 class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
         code = main(["basis", "--system", str(tmp_path / "nope.yaml")])
@@ -198,6 +234,16 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert f"'# {header}='" in err and value in err
+
+    def test_unknown_waveform_header(self, tmp_path, one_spin_files, capsys):
+        sys_path, wave_path, _ = one_spin_files
+        lines = wave_path.read_text().splitlines()
+        wave_path.write_text("\n".join(lines[:2] + ["# power_hx=5"] + lines[2:]) + "\n")
+        code = main(["simulate", "--system", str(sys_path),
+                     "--waveform", str(wave_path), "--initial", "Lz(0)",
+                     "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "waveform line 3: '# power_hx='" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_steps", ["0", "-3", "2.5"])
     def test_non_positive_n_steps_with_duration(self, tmp_path, capsys, n_steps):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,8 +24,11 @@ from spintraj import (
 )
 from spintraj.engine import stack_matmul, step_unitaries
 from spintraj.errors import DomainError, NumericError
+from spintraj.expressions import parse_state
+from spintraj.fileio import parse_system
 
 TWO_PI = 2 * np.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -323,6 +328,18 @@ class TestPropagate:
         for m in range(-2, 3):
             series = population_series(build_projector(basis, CohOrder(m)), traj)
             assert np.max(np.abs(series - series[0])) < 1e-9
+
+    def test_first_row_is_rho0_exactly(self):
+        # row 0 is the initial state as given, not its round trip through a
+        # Hilbert-space operator
+        system = parse_system((CONFIGS / "backbone.yaml").read_text(encoding="utf-8"))
+        rho0 = parse_state(product_basis(system), "Lz(0)")
+        controls = ControlSet(
+            dt=4e-5, power_hz=10000.0, channels=(("1H", "x"), ("13C", "y")),
+            amplitudes=np.random.default_rng(2).uniform(-1, 1, (2, 5)),
+        )
+        traj = propagate(system, controls, rho0)
+        assert np.array_equal(traj.states[0], rho0.coefficients)
 
     def test_basis_mismatch(self):
         system = SpinSystem((Spin("1H", 2),))

@@ -9,13 +9,15 @@ for propagation, and the augmented block exponential for the gradient.
 Examples are derandomized, so every run checks the same systems.
 
 State expressions are checked over spin-1/2, spin-1 and spin-3/2 systems
-against operators built by Kronecker products with identities.
+against operators built by Kronecker products with identities, and the
+factored basis map (coefficients_of, operator_of) against the dense D x D
+vectorization matrix on the same kinds of systems up to D = 1,024.
 """
 
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spintraj import (
@@ -38,6 +40,7 @@ from spintraj import (
 from spintraj.expressions import parse_state
 from spintraj.tensors import angular_momentum
 from test_engine import step_propagator
+from test_tensors import vectorization_matrix
 
 PROPERTY_SETTINGS = settings(
     derandomize=True, database=None, max_examples=40, deadline=None,
@@ -154,3 +157,20 @@ def test_primitives_match_kronecker_oracle(mults):
             c = basis.coefficients_of(kron_embedded(system, k, single))
             oracle = c / np.linalg.norm(c)
             assert np.max(np.abs(parse_state(basis, text).coefficients - oracle)) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=5)
+       .filter(lambda m: math.prod(m) <= 32),
+       st.sampled_from([(), (3,), (2, 2)]), st.integers(0, 2**32 - 1))
+@example([2, 2, 2, 2, 2], (3,), 0)
+@example([4, 2, 4], (2, 2), 1)
+def test_basis_map_matches_dense_oracle(mults, stack, seed):
+    basis = product_basis(SpinSystem(tuple(Spin("1H", m) for m in mults)))
+    u, d, rng = vectorization_matrix(basis), basis.hilbert_dim, np.random.default_rng(seed)
+    op = rng.normal(size=stack + (d, d)) + 1j * rng.normal(size=stack + (d, d))
+    oracle = op.reshape(stack + (d * d,)) @ u.conj()
+    assert np.max(np.abs(basis.coefficients_of(op) - oracle)) <= 1e-15 * np.max(np.abs(op))
+    c = rng.normal(size=stack + (basis.dim,)) + 1j * rng.normal(size=stack + (basis.dim,))
+    oracle = (c @ u.T).reshape(stack + (d, d))
+    assert np.max(np.abs(basis.operator_of(c) - oracle)) <= 1e-15 * np.max(np.abs(c))

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,6 +18,17 @@ from spintraj.errors import DomainError
 
 def frob(a):
     return np.linalg.norm(a)
+
+
+def vectorization_matrix(basis):
+    """Dense oracle of the basis map: column i is the row-major vectorization
+    of B_i, the Kronecker product of its per-spin tensors (a unitary D x D
+    matrix), so coefficients are vec(op) @ U.conj() and operators U @ c."""
+    u = np.empty((basis.hilbert_dim ** 2, basis.dim), dtype=complex)
+    for i, lab in enumerate(basis.labels):
+        u[:, i] = reduce(np.kron, [ist_operator(n, l, m) for n, (l, m)
+                                   in zip(basis.system.multiplicities, lab.components)]).ravel()
+    return u
 
 
 class TestIstOperator:
@@ -111,7 +123,7 @@ class TestProductBasis:
     def test_orthonormality(self, mults):
         system = SpinSystem(tuple(Spin("s", m) for m in mults))
         basis = product_basis(system)
-        u = basis.vectorization_matrix
+        u = vectorization_matrix(basis)
         gram = u.conj().T @ u
         assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-12
 
