@@ -107,6 +107,7 @@ def _cmd_optimize(args) -> int:
         "final_fidelity": report.final_fidelity,
         "per_member_fidelities": report.per_member_fidelities,
         "iterations": report.iterations,
+        "evaluations": report.evaluations,
         "status": report.status,
         "message": report.message,
         "gradient_norm_history": report.gradient_norm_history,

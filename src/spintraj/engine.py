@@ -5,15 +5,17 @@ factors and live in rad/s. States are stored and analysed as coefficient
 vectors over the IST Liouville basis, but propagated in Hilbert space: the
 system is closed (no relaxation), so exp(-i L_n dt) rho equals
 U_n rho U_n^dagger with U_n = exp(-i H_n dt) and
-H_n = H0 + sum_k 2*pi*power*c_k[n]*H_k. One batched d x d eigh gives every
-U_n; the basis is touched only at the edges, through the per-spin factored
-basis map. Memory per propagation is [T, d, d], not [T, D, D] with D = d^2.
+H_n = H0 + sum_k 2*pi*power*c_k[n]*H_k. `propagate` and the optimizer share
+one core, the prefix products P_n = U_{n-1} ... U_0 (one product per step),
+from which all states rho_n = P_n rho_0 P_n^dagger are formed at once. The
+basis is touched only at the edges, through the per-spin factored basis map.
+Memory per propagation is [T, d, d], not [T, D, D] with D = d^2.
 
-For d = 2 (one spin-1/2) numpy's batched eigh and matmul cost about a
-microsecond per matrix in call overhead, far more than the arithmetic. There
-the eigendecomposition is in closed form and every stacked product is a sum
-of two broadcast outer products (`stack_matmul`); larger d uses eigh and @.
-The choice follows from the array shape alone.
+For d > 2 one batched eigh gives every U_n and products are numpy @. For one
+spin-1/2, where numpy's per-matrix overhead would exceed the arithmetic, each
+step is an SU(2) rotation in Cayley-Klein form (Counsell, Levitt & Ernst,
+JMR 63 (1985) 133) in closed form, one [T, M] array per component. The
+choice follows from the array shape alone.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ __all__ = [
     "control_operators",
     "commutation_superoperator",
     "step_hamiltonians",
-    "stack_matmul",
-    "step_unitaries",
-    "forward_sweep",
+    "prefix_products",
     "propagate",
 ]
 
@@ -209,73 +209,129 @@ def step_hamiltonians(
     return drift[..., None, :, :] + np.einsum("...kn,kij->...nij", weights, ops)
 
 
-def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over broadcast stacks of matrices.
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
 
-    2 x 2 stacks are multiplied as a sum of two broadcast outer products
-    (column j of a times row j of b), which are elementwise operations over
-    the whole stack instead of one small matmul per matrix.
+
+def prefix_products(
+    drift: np.ndarray, ops: np.ndarray, w: np.ndarray, amplitudes: np.ndarray, dt: float
+):
+    """Prefix products P_n = U_{n-1} ... U_0 (P_0 = I) of the step unitaries
+    U_n = exp(-i dt H_n), H_n = H0_m + w_m sum_k c_k[n] H_k, for M members.
+
+    drift [M, d, d] and ops [K, d, d] in rad/s, w [M] per unit amplitude,
+    amplitudes [K, T]. One spin-1/2 takes the SU(2) path, larger d the eigh
+    path; the choice follows from the array shape alone.
     """
-    if a.shape[-2:] == (2, 2) and b.shape[-2:] == (2, 2):
-        out = a[..., :, :1] * b[..., :1, :]
-        out += a[..., :, 1:] * b[..., 1:, :]
-        return out
-    return a @ b
+    path = _SU2Prefix if drift.shape[-1] == 2 else _EighPrefix
+    return path(drift, ops, w, amplitudes, dt)
 
 
-def _eigh_2x2(hams: np.ndarray):
-    """Closed-form eigh of a stack of Hermitian 2 x 2 matrices.
+class _EighPrefix:
+    """U_n from one batched eigh of the [M, T, d, d] step Hamiltonians; P_n by @."""
 
-    H - mean*I = r (cos t sz + sin t (cos p sx - sin p sy)) with
-    t = atan2(|q|, (h00 - h11)/2) and p = arg q for q = h01; the eigenvalues
-    are mean -/+ r and the eigenvectors follow from the half angle t/2 and
-    e^{ip}. No division, so q = 0 and H = 0 need no special case.
+    def __init__(self, drift, ops, w, amplitudes, dt):
+        self.ops, self.w, self.dt = ops, w, dt
+        hams = step_hamiltonians(drift, ops, w[:, None, None] * amplitudes)
+        self.evals, self.vecs = np.linalg.eigh(hams)
+        u = (self.vecs * np.exp(-1j * dt * self.evals)[..., None, :]) @ dagger(self.vecs)
+        m, t, d = u.shape[:3]
+        self.products = np.empty((m, t + 1, d, d), dtype=complex)
+        self.products[:, 0] = np.eye(d)
+        for n in range(t):
+            np.matmul(u[:, n], self.products[:, n], out=self.products[:, n + 1])
+        self.final = self.products[:, -1]
+
+    def matrices(self) -> np.ndarray:
+        """[M, T + 1, d, d]."""
+        return self.products
+
+    def control_gradient(self, k0: np.ndarray) -> np.ndarray:
+        """dt w_m Tr(H_k Y_mn) [M, K, T] for traceless Hermitian k0 [M, d, d]: Y_mn is
+        the mean over s in [0, 1] of e^{-is dt H_n} K_n e^{is dt H_n} and
+        K_n = P_n k0 P_n^dagger. In the eigenbasis of H_n the mean multiplies
+        entry jk by exp(-i x/2) sinc(x/2 pi), x = dt (l_j - l_k): finite for
+        degenerate eigenvalues without a special case."""
+        vp = dagger(self.vecs) @ self.products[:, :-1]
+        lam = self.dt * self.evals
+        half = np.exp(-0.5j * lam)
+        gap = (lam[..., :, None] - lam[..., None, :]) / (2.0 * np.pi)
+        mean = half[..., :, None] * half.conj()[..., None, :] * np.sinc(gap)
+        y = self.vecs @ (mean * (vp @ k0[:, None] @ dagger(vp))) @ dagger(self.vecs)
+        raw = np.einsum("kij,mnji->mkn", self.ops, y).real
+        return self.dt * self.w[:, None, None] * raw
+
+
+def _su2_parts(h: np.ndarray):
+    """(h_z, q) of the traceless part [[h_z, q], [q*, -h_z]] of Hermitian 2 x 2 h."""
+    return (h[..., 0, 0] - h[..., 1, 1]).real / 2.0, h[..., 0, 1]
+
+
+def _su2_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[a, -b*], [b, a*]] stacked over the trailing axes."""
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+
+
+class _SU2Prefix:
+    """One spin-1/2 as SU(2) rotations on component-major [T, M] arrays.
+
+    The trace of H_n is a global phase, which U rho U^dagger does not see. With
+    H_n - tr/2 = [[h_z, q], [q*, -h_z]], r = |(h_z, q)| and th = r dt, U_n is
+    the Cayley-Klein pair a = cos(th) - i s h_z, b = -i s q*, s = dt sinc(th/pi),
+    with no eigendecomposition. P_n is kept as its first column (A_n, B_n), so
+    a step is four complex products per member.
     """
-    h00, h11, q = hams[..., 0, 0].real, hams[..., 1, 1].real, hams[..., 0, 1]
-    mean, half_gap, abs_q = (h00 + h11) / 2.0, (h00 - h11) / 2.0, np.abs(q)
-    r = np.hypot(half_gap, abs_q)
-    half_theta = np.arctan2(abs_q, half_gap) / 2.0
-    c, s = np.cos(half_theta), np.sin(half_theta)
-    phase = np.exp(1j * np.angle(q))
-    vecs = np.empty(hams.shape, dtype=complex)
-    vecs[..., 0, 0] = -phase * s
-    vecs[..., 0, 1] = phase * c
-    vecs[..., 1, 0] = c
-    vecs[..., 1, 1] = s
-    return np.stack([mean - r, mean + r], axis=-1), vecs
 
+    def __init__(self, drift, ops, w, amplitudes, dt):
+        self.w, self.dt = w, dt
+        self.op_z, self.op_q = _su2_parts(ops)
+        h_z, q = _su2_parts(drift)
+        self.h_z = h_z + np.outer(amplitudes.T @ self.op_z, w)
+        self.q = q + np.outer(amplitudes.T @ self.op_q, w)
+        self.r2 = self.h_z**2 + self.q.real**2 + self.q.imag**2
+        theta = dt * np.sqrt(self.r2)
+        self.cos = np.cos(theta)
+        self.sinc = np.divide(np.sin(theta), theta, out=np.ones_like(theta), where=theta > 0)
+        s = dt * self.sinc
+        t, m = theta.shape
+        # u[n, j] is column j of U_n: (a, b) and (-b*, a*), with b = -i s q*
+        u = np.empty((t, 2, 2, m), dtype=complex)
+        u[:, 0, 0] = self.cos - 1j * (s * self.h_z)
+        u[:, 0, 1] = -s * (self.q.imag + 1j * self.q.real)
+        u[:, 1] = u[:, 0, ::-1].conj()
+        u[:, 1, 0] *= -1.0
+        self.columns = np.empty((t + 1, 2, m), dtype=complex)  # (A_n, B_n)
+        self.columns[0, 0], self.columns[0, 1] = 1.0, 0.0
+        for n in range(t):
+            np.multiply(u[n, 0], self.columns[n, 0], out=self.columns[n + 1])
+            self.columns[n + 1] += u[n, 1] * self.columns[n, 1]
+        self.final = _su2_matrix(*self.columns[-1])
 
-def step_unitaries(hams: np.ndarray, dt: float):
-    """U_n = exp(-i H_n dt) of a stack of Hermitian H_n by one batched eigh
-    (closed form for 2 x 2 stacks).
+    def matrices(self) -> np.ndarray:
+        """[M, T + 1, 2, 2]."""
+        return _su2_matrix(self.columns[:, 0].T, self.columns[:, 1].T)
 
-    Returns (U, eigenvalues, eigenvectors); the gradient reuses the eigenbasis.
-    """
-    if hams.shape[-2:] == (2, 2):
-        evals, vecs = _eigh_2x2(hams)
-    else:
-        evals, vecs = np.linalg.eigh(hams)
-    phases = np.exp(-1j * dt * evals)
-    u = stack_matmul(vecs * phases[..., None, :], vecs.conj().swapaxes(-1, -2))
-    return u, evals, vecs
-
-
-def forward_sweep(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    """States rho_{n+1} = U_n rho_n U_n^dagger for u of shape [..., T, d, d].
-
-    Returns [..., T + 1, d, d] with rho0 at index 0. The costates of the
-    gradient, chi_n = U_n^dagger chi_{n+1} U_n, are the same sweep over the
-    reversed adjoint unitaries.
-    """
-    t = u.shape[-3]
-    rho = np.empty(u.shape[:-3] + (t + 1,) + u.shape[-2:], dtype=complex)
-    rho[..., 0, :, :] = rho0
-    u_h = u.conj().swapaxes(-1, -2)
-    for n in range(t):
-        rho[..., n + 1, :, :] = stack_matmul(
-            stack_matmul(u[..., n, :, :], rho[..., n, :, :]), u_h[..., n, :, :]
-        )
-    return rho
+    def control_gradient(self, k0: np.ndarray) -> np.ndarray:
+        """As _EighPrefix.control_gradient. Traceless Hermitian matrices are
+        Bloch vectors, kept as (z, q): K_n = P_n k0 P_n^dagger is k0 rotated,
+        and the mean of its rotation about h by angle 2 th u over u in [0, 1]
+        is sinc(2 th/pi) K + (1 - sinc(2 th/pi)) (h.K) h / r^2
+        + dt sinc(th/pi)^2 h x K."""
+        kz0, kq0 = _su2_parts(k0)
+        a, b = self.columns[:-1, 0], self.columns[:-1, 1]
+        kz = (a.real**2 + a.imag**2 - b.real**2 - b.imag**2) * kz0 - 2.0 * (a * b * kq0).real
+        kq = a * a * kq0 - b.conj() ** 2 * kq0.conj() + 2.0 * a * b.conj() * kz0
+        sinc2 = self.cos * self.sinc
+        along = np.divide(1.0 - sinc2, self.r2, out=np.zeros_like(self.r2), where=self.r2 > 0)
+        along *= kz * self.h_z + (kq * self.q.conj()).real
+        cross = self.dt * self.sinc**2
+        yz = sinc2 * kz + along * self.h_z + cross * (self.q * kq.conj()).imag
+        yq = sinc2 * kq + along * self.q + 1j * cross * (kz * self.q - self.h_z * kq)
+        # Tr(H_k Y) = 2 (op_z y_z + Re(op_q y_q*)) for Hermitian H_k
+        ops = 2.0 * self.dt * np.stack([self.op_z, self.op_q.real, self.op_q.imag])
+        raw = np.tensordot(ops, np.stack([yz, yq.real, yq.imag]), axes=(0, 0))
+        return (raw * self.w).transpose(2, 0, 1)
 
 
 def propagate(
@@ -287,10 +343,10 @@ def propagate(
         raise DomainError("initial state basis does not match the system")
     d = system.hilbert_dim
     ops = np.reshape(control_operators(system, controls.channels), (-1, d, d))
-    weights = TWO_PI * controls.power_hz * controls.amplitudes
-    hams = step_hamiltonians(drift_hamiltonian(system), ops, weights)
-    u, _, _ = step_unitaries(hams, controls.dt)
-    states = basis.coefficients_of(forward_sweep(u, basis.operator_of(rho0.coefficients)))
+    drift, w = drift_hamiltonian(system)[None], np.array([TWO_PI * controls.power_hz])
+    p = prefix_products(drift, ops, w, controls.amplitudes, controls.dt).matrices()[0]
+    rho = basis.operator_of(rho0.coefficients)
+    states = basis.coefficients_of(p @ rho @ dagger(p))
     states[0] = rho0.coefficients
     times = controls.dt * np.arange(controls.n_steps + 1)
     h = hashlib.sha256(repr(system).encode()).hexdigest()[:16]

@@ -5,22 +5,23 @@ over an ensemble of offset shifts and control-power scalings. rho0 and target
 are given in the IST Liouville basis; the optimizer maps them to d x d
 matrices once, through ProductBasis's per-spin factored map, and works on
 them in the engine's Hilbert-space core, which holds because the system is
-closed: each evaluation is one batched eigh of the [M, T, d, d] step
-Hamiltonians, a forward sweep rho_{n+1} = U_n rho_n U_n^dagger and a
-backward sweep chi_n = U_n^dagger chi_{n+1} U_n (M members, T steps, memory
-[M, T, d, d] instead of [M, T, D, D] with D = d^2). Gradients are exact
-(de Fouquieres, Schirmer, Glaser & Kuprov, JMR 212 (2011) 412): the
-directional derivative dU of each step unitary is evaluated in the
-eigenbasis of its Hamiltonian and enters as d rho = dU rho U^dagger +
-U rho dU^dagger (the density-matrix GRAPE of Khaneja et al., JMR 172 (2005)
-296). The divided difference of the step phases is written as
-exp(-i dt (l_j + l_k)/2) sinc(dt (l_j - l_k)/2 pi), which is finite for
-degenerate eigenvalues without a special case. For one spin-1/2 (d = 2) the
-eigendecomposition is in closed form and the stacked products are
-elementwise (engine.stack_matmul), since numpy's per-matrix overhead would
-dominate. It is tested against the Liouville-space augmented block-triangular
-exponential, method="augmented". Ascent is quasi-Newton (L-BFGS, memory 10)
-with a strong Wolfe line search.
+closed. Each evaluation forms the prefix products P_n = U_{n-1} ... U_0 of
+the [M, T] step unitaries (M members, T steps) once; the fidelity needs only
+P_T. The costates need no backward sweep: with chi_0 = P_T^dagger target P_T
+they are chi_n = P_n chi_0 P_n^dagger, so the gradient's
+S_n = rho_n chi_n^dagger + rho_n^dagger chi_n is P_n S_0 P_n^dagger. Gradients
+are exact (de Fouquieres, Schirmer, Glaser & Kuprov, JMR 212 (2011) 412): a
+step contributes Re Tr(dU_n U_n^dagger S_{n+1}) (the density-matrix GRAPE of
+Khaneja et al., JMR 172 (2005) 296), and dU_n U_n^dagger is the mean over the
+step of the control operator rotated by the partial step. For d > 2 that mean
+is taken in the eigenbasis of H_n, where it multiplies entry jk by
+exp(-i x/2) sinc(x/2 pi) with x = dt (l_j - l_k), finite for degenerate
+eigenvalues without a special case. For one spin-1/2 it is the mean of a
+rotation of Bloch vectors, in closed form on the engine's SU(2) arrays, as in
+broadband pulse design (Kobzar et al., JMR 170 (2004) 236). Both are tested
+against the Liouville-space augmented block-triangular exponential,
+method="augmented". Ascent is quasi-Newton (L-BFGS, memory 10) with a strong
+Wolfe line search.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from .engine import (
     StateVector,
     commutation_superoperator,
     control_operators,
+    dagger,
     drift_hamiltonian,
-    forward_sweep,
-    stack_matmul,
-    step_hamiltonians,
-    step_unitaries,
+    prefix_products,
 )
 from .errors import DomainError, NumericError
 from .system import SpinSystem
@@ -119,6 +118,7 @@ class OptimizationReport:
     gradient_norm_history: list[float]
     fidelity_history: list[float]
     controls: ControlSet
+    evaluations: int  # fidelity+gradient evaluations computed, cache hits excluded
     status: str = "converged"
     message: str = ""
 
@@ -135,7 +135,7 @@ class _EnsembleWorkspace:
     """Member drift Hamiltonians, control operators, and rho0/target as d x d matrices."""
 
     def __init__(self, problem: ControlProblem, controls: ControlSet):
-        self.dt, self.n_steps, self.power = controls.dt, controls.n_steps, controls.power_hz
+        self.dt, self.n_steps = controls.dt, controls.n_steps
         sys, ens = problem.system, problem.ensemble
         d = sys.hilbert_dim
         self.ops = np.reshape(control_operators(sys, controls.channels), (-1, d, d))
@@ -144,54 +144,33 @@ class _EnsembleWorkspace:
             for off in ens.offsets
         }
         self.h0 = np.stack([drift_by_offset[o] for (o, _) in ens.members])
-        self.scales = np.array([s for (_, s) in ens.members])
+        self.w = TWO_PI * controls.power_hz * np.array([s for (_, s) in ens.members])
         basis = problem.rho0.basis
         self.rho0 = basis.operator_of(problem.rho0.coefficients)
         self.target = basis.operator_of(problem.target.coefficients)
 
     def _forward(self, amplitudes: np.ndarray):
-        """Per-member fidelities Re Tr(target^dagger rho_T), step unitaries and states."""
-        weights = TWO_PI * self.power * self.scales[:, None, None] * amplitudes[None]
-        u, evals, vecs = step_unitaries(
-            step_hamiltonians(self.h0, self.ops, weights), self.dt
-        )
-        rho = forward_sweep(u, self.rho0)
-        per = np.real(np.einsum("ij,mij->m", self.target.conj(), rho[:, -1]))
-        return per, u, evals, vecs, rho
+        """Per-member fidelities Re Tr(target^dagger rho_T) and the prefix products."""
+        core = prefix_products(self.h0, self.ops, self.w, amplitudes, self.dt)
+        rho_t = core.final @ self.rho0 @ dagger(core.final)
+        return np.real(np.einsum("ij,mij->m", self.target.conj(), rho_t)), core
 
     def mean_fidelity(self, amplitudes: np.ndarray) -> tuple[float, np.ndarray]:
         per = self._forward(amplitudes)[0]
         return float(per.mean()), per
 
     def mean_fidelity_and_gradient(self, amplitudes: np.ndarray):
-        per, u, evals, vecs, rho = self._forward(amplitudes)
-        u_h = u.conj().swapaxes(-1, -2)
-        chi = forward_sweep(u_h[:, ::-1], self.target)[:, ::-1]
-        # d rho_{n+1} = dU rho_n U^dagger + U rho_n dU^dagger, so the step's
-        # derivative is Re Tr(dU_n Z_n) with Z_n = U_n^dagger S_{n+1} and
-        # S = rho chi^dagger + rho^dagger chi (both terms: rho0 and target
-        # need not be Hermitian).
-        rho_n, chi_n = rho[:, 1:], chi[:, 1:]
-        s = stack_matmul(rho_n, chi_n.conj().swapaxes(-1, -2))
-        s += stack_matmul(rho_n.conj().swapaxes(-1, -2), chi_n)
-        # Frechet derivative of exp(-i H dt) in the eigenbasis of H:
-        # F_jk = (e^{a_j} - e^{a_k}) / (a_j - a_k) with a = -i dt eigenvalues,
-        # = exp(-i dt (l_j + l_k) / 2) sinc(dt (l_j - l_k) / 2 pi): the
-        # exponents are imaginary, so sinh(x)/x is a real sinc, finite at 0.
-        lam_j, lam_k = evals[..., :, None], evals[..., None, :]
-        f_mat = np.exp(-0.5j * self.dt * (lam_j + lam_k)) * np.sinc(
-            self.dt * (lam_j - lam_k) / (2.0 * np.pi)
-        )
-        vecs_h = vecs.conj().swapaxes(-1, -2)
-        z = np.exp(1j * self.dt * evals)[..., :, None] * stack_matmul(
-            stack_matmul(vecs_h, s), vecs
-        )
-        y = stack_matmul(
-            stack_matmul(vecs.conj(), f_mat * z.swapaxes(-1, -2)), vecs.swapaxes(-1, -2)
-        )
-        raw = np.einsum("kij,mnij->mkn", self.ops, y)
-        scalar = -1j * self.dt * TWO_PI * self.power * self.scales
-        grad = np.real(scalar[:, None, None] * raw)
+        per, core = self._forward(amplitudes)
+        # With chi_0 = P_T^dagger target P_T, the states and costates are
+        # rho_n = P_n rho0 P_n^dagger and chi_n = P_n chi_0 P_n^dagger, so
+        # S_n = rho_n chi_n^dagger + rho_n^dagger chi_n = P_n S_0 P_n^dagger
+        # (both terms: rho0 and target need not be Hermitian). A step's
+        # derivative is Re Tr(dU_n U_n^dagger S_{n+1}); dU_n U_n^dagger is
+        # anti-Hermitian, so only the anti-Hermitian part of S_0 counts (it is
+        # traceless: Tr S_0 = 2 Re Tr(rho0 chi_0^dagger) is real).
+        chi0 = dagger(core.final) @ self.target @ core.final
+        s0 = self.rho0 @ dagger(chi0) + dagger(self.rho0) @ chi0
+        grad = core.control_gradient((s0 - dagger(s0)) / 2j)
         if not np.all(np.isfinite(grad)):
             raise NumericError("non-finite gradient encountered")
         return float(per.mean()), per, grad.mean(axis=0)
@@ -337,14 +316,17 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
 
     cache: dict[bytes, tuple[float, np.ndarray, float]] = {}
     best = {"obj": np.inf, "x": x0.copy(), "fid": -np.inf, "per": None}
+    evaluations = 0
 
     def objective(x: np.ndarray):
+        nonlocal evaluations
         key = x.tobytes()
         if key in cache:
             obj, grad, _ = cache[key]
             return obj, grad
         amps = unpack(x)
         fid, per, grad_amp = ws.mean_fidelity_and_gradient(amps)
+        evaluations += 1
         obj = -fid
         if lam > 0.0:
             obj += lam * float(np.sum(amps**2))
@@ -413,6 +395,7 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
         gradient_norm_history=grad_history,
         fidelity_history=fid_history,
         controls=opt_controls,
+        evaluations=evaluations,
         status=status,
         message=message,
     )

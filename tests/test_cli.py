@@ -153,6 +153,7 @@ class TestOptimizeCommand:
         report = json.loads((out1 / "report.json").read_text())
         assert report["final_fidelity"] > 0.99
         assert report["seed"] == 3
+        assert report["evaluations"] >= report["iterations"] + 1
 
     def test_analysis_specs_match_analyze(self, tmp_path, capsys):
         specs = ["corr-orders", "coh-orders", "local", "involvement"]

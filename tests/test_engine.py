@@ -22,7 +22,7 @@ from spintraj import (
     propagate,
     spin_operator,
 )
-from spintraj.engine import stack_matmul, step_unitaries
+from spintraj.engine import _EighPrefix, prefix_products
 from spintraj.errors import DomainError, NumericError
 from spintraj.expressions import parse_state
 from spintraj.fileio import parse_system
@@ -206,25 +206,32 @@ def random_hermitian(rng, shape, d, scale=1.0):
     return scale * (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def check_eigh(hams, evals, vecs):
-    """V diag(l) V^dagger = H and V^dagger V = I to 1e-14 of the largest |H|."""
-    scale = max(np.max(np.linalg.norm(hams, ord=2, axis=(-2, -1))), 1.0)
-    vecs_h = vecs.conj().swapaxes(-1, -2)
-    rebuilt = (vecs * evals[..., None, :]) @ vecs_h
-    assert np.max(np.abs(rebuilt - hams)) <= 1e-14 * scale
-    assert np.max(np.abs(vecs_h @ vecs - np.eye(hams.shape[-1]))) <= 1e-14
+def traceless(h):
+    return h - np.trace(h, axis1=-2, axis2=-1)[..., None, None] / h.shape[-1] * np.eye(h.shape[-1])
+
+
+def su2_expm(hams, dt):
+    """exp(-i dt H) of the traceless part of each 2 x 2 H, by scipy."""
+    return np.array([scipy.linalg.expm(-1j * dt * h) for h in traceless(hams).reshape(-1, 2, 2)]
+                    ).reshape(hams.shape)
 
 
 class TestTwoByTwoKernels:
-    """The closed-form eigh and the broadcast product used for 2 x 2 stacks."""
+    """The SU(2) path of prefix_products for one spin-1/2, against expm and
+    against the eigh path that every larger d takes."""
 
-    @pytest.mark.parametrize("scale", [1.0, TWO_PI * 2.0e4])
-    def test_closed_form_eigh_matches_numpy(self, scale):
-        hams = random_hermitian(np.random.default_rng(3), (7, 50), 2, scale)
-        _, evals, vecs = step_unitaries(hams, 1e-5)
-        check_eigh(hams, evals, vecs)
-        reference = np.linalg.eigh(hams)[0]
-        assert np.max(np.abs(evals - reference)) <= 1e-14 * np.max(np.abs(reference))
+    @pytest.mark.parametrize("scale, dt", [(1.0, 0.7), (TWO_PI * 2.0e4, 1e-5)])
+    def test_products_match_expm(self, scale, dt):
+        rng = np.random.default_rng(3)
+        drift, ops = random_hermitian(rng, (7,), 2, scale), random_hermitian(rng, (2,), 2)
+        w, amplitudes = rng.uniform(0.5, 1.5, 7) * scale, rng.uniform(-1, 1, (2, 50))
+        p = prefix_products(drift, ops, w, amplitudes, dt).matrices()
+        hams = drift[:, None] + np.einsum("m,kn,kij->mnij", w, amplitudes, ops)
+        expected = np.empty_like(p)
+        expected[:, 0] = np.eye(2)
+        for n, u in enumerate(su2_expm(hams, dt).swapaxes(0, 1)):
+            expected[:, n + 1] = u @ expected[:, n]
+        assert np.max(np.abs(p - expected)) <= 1e-13
 
     @pytest.mark.parametrize("ham", [
         [[3.0, 0.0], [0.0, -1.0]],   # q = 0, h00 > h11
@@ -232,37 +239,26 @@ class TestTwoByTwoKernels:
         [[0.0, 0.0], [0.0, 0.0]],    # H = 0
         [[1.0, 2.0j], [-2.0j, -1.0]],  # purely imaginary q
     ], ids=["q0-descending", "q0-ascending", "zero", "imaginary-q"])
-    def test_closed_form_eigh_edge_cases(self, ham):
-        hams = np.array([ham], dtype=complex)
-        u, evals, vecs = step_unitaries(hams, 0.3)
-        check_eigh(hams, evals, vecs)
-        assert np.allclose(evals, np.linalg.eigh(hams)[0], rtol=0.0, atol=1e-14)
-        assert np.max(np.abs(u[0] - scipy.linalg.expm(-0.3j * hams[0]))) <= 1e-14
+    def test_edge_cases(self, ham):
+        # zero amplitudes, so each step Hamiltonian is `ham` itself
+        hams = np.array([[ham, ham]], dtype=complex)
+        ops = random_hermitian(np.random.default_rng(5), (2,), 2)
+        args = (hams[:, 0], ops, np.ones(1), np.zeros((2, 2)), 0.3)
+        su2 = prefix_products(*args)
+        u = su2_expm(hams, 0.3)[0, 0]
+        assert np.max(np.abs(su2.matrices()[0] - [np.eye(2), u, u @ u])) <= 1e-14
+        k0 = traceless(random_hermitian(np.random.default_rng(6), (1,), 2))
+        expected = _EighPrefix(*args).control_gradient(k0)
+        assert np.max(np.abs(su2.control_gradient(k0) - expected)) <= 1e-14
 
-    def test_unitaries_match_expm(self):
-        hams = random_hermitian(np.random.default_rng(4), (20,), 2, 3.0)
-        u, _, _ = step_unitaries(hams, 0.7)
-        expected = np.array([scipy.linalg.expm(-0.7j * h) for h in hams])
-        assert np.max(np.abs(u - expected)) <= 1e-13
-
-    def test_product_matches_matmul_on_views(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(4, 9, 2, 2)) + 1j * rng.normal(size=(4, 9, 2, 2))
-        b = rng.normal(size=(4, 9, 2, 2)) + 1j * rng.normal(size=(4, 9, 2, 2))
-        views = [
-            (a, b),
-            (a.swapaxes(-1, -2), b),
-            (a[:, ::-1], b.swapaxes(-1, -2)[:, ::-1]),
-            (a[:, :8:2], b[:, 1::2].conj()),
-            (a, b[0, 0]),  # broadcast against a single matrix
-        ]
-        for x, y in views:
-            assert np.max(np.abs(stack_matmul(x, y) - x @ y)) <= 1e-14
-
-    def test_larger_matrices_use_matmul(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 3))
-        assert np.array_equal(stack_matmul(a, b), a @ b)
+    def test_gradient_matches_eigh_path(self):
+        rng = np.random.default_rng(4)
+        drift, ops = random_hermitian(rng, (6,), 2, 3.0), random_hermitian(rng, (3,), 2)
+        args = (drift, ops, rng.uniform(0.5, 1.5, 6), rng.uniform(-1, 1, (3, 40)), 0.2)
+        k0 = traceless(random_hermitian(rng, (6,), 2))
+        expected = _EighPrefix(*args).control_gradient(k0)
+        got = prefix_products(*args).control_gradient(k0)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestPropagate:

@@ -17,6 +17,7 @@ from spintraj import (
     product_basis,
     spin_operator,
 )
+from spintraj import grape
 from spintraj.errors import DomainError
 
 
@@ -118,6 +119,24 @@ class TestGradient:
         problem = ControlProblem(system, rho, rho, controls)
         grad = grape_gradient(problem, controls)
         assert np.max(np.abs(grad)) < 1e-12
+
+    def test_zero_step_hamiltonians(self):
+        # on resonance without drive every step Hamiltonian is 0, which the
+        # spin-1/2 path meets with no eigenbasis and no division
+        system = SpinSystem((Spin("1H", 2, 0.0),))
+        basis = product_basis(system)
+        controls = ControlSet(
+            dt=1e-4, power_hz=1000.0, channels=(("1H", "x"), ("1H", "y")),
+            amplitudes=np.zeros((2, 4)),
+        )
+        problem = ControlProblem(
+            system, normalized_operator_state(basis, spin_operator(system, 0, "z")),
+            normalized_operator_state(basis, spin_operator(system, 0, "y")), controls,
+        )
+        exact = grape_gradient(problem, controls)
+        oracle = grape_gradient(problem, controls, method="augmented")
+        assert np.max(np.abs(oracle)) > 0.1
+        assert np.max(np.abs(exact - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_ensemble_gradient_checks_out(self):
         problem, controls = random_problem(17, n_steps=3)
@@ -276,6 +295,22 @@ class TestOptimize:
         fresh = ensemble_fidelity(problem, report.controls)
         assert report.final_fidelity == fresh["mean"]
         assert report.per_member_fidelities == fresh["per_member"]
+
+    def test_report_counts_computed_evaluations(self, monkeypatch):
+        computed = []
+        evaluate = grape._EnsembleWorkspace.mean_fidelity_and_gradient
+
+        def counting(ws, amplitudes):
+            computed.append(amplitudes)
+            return evaluate(ws, amplitudes)
+
+        monkeypatch.setattr(grape._EnsembleWorkspace, "mean_fidelity_and_gradient", counting)
+        report = optimize(self.make_simple_problem(
+            seed=4, max_iterations=5, ensemble=Ensemble((-300.0, 300.0), (0.9, 1.1)),
+        ))
+        # the starting point is evaluated before the optimizer asks for it again;
+        # that second request is a cache hit and not counted
+        assert report.evaluations == len(computed) >= report.iterations + 1
 
     def test_fidelity_stop(self):
         problem = self.make_simple_problem(fidelity_stop=0.9)

@@ -6,7 +6,10 @@ target states, and robustness ensembles of 2-4 members. The Hilbert-space
 propagation and gradient core is checked against Liouville-space oracles that
 share none of its code: a product of exp(-i L dt) superoperator exponentials
 for propagation, and the augmented block exponential for the gradient.
-Examples are derandomized, so every run checks the same systems.
+Examples are derandomized, so every run checks the same systems. Two long
+pulses, the broadband grid (one spin-1/2, 625 steps, four members) and a
+50-step slice on the three-spin backbone, check the error accumulated over a
+real pulse, which the short random pulses cannot show.
 
 State expressions are checked over spin-1/2, spin-1 and spin-3/2 systems
 against operators built by Kronecker products with identities, and the
@@ -15,6 +18,7 @@ vectorization matrix on the same kinds of systems up to D = 1,024.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -38,6 +42,7 @@ from spintraj import (
     propagate,
 )
 from spintraj.expressions import parse_state
+from spintraj.fileio import parse_system
 from spintraj.tensors import angular_momentum
 from test_engine import step_propagator
 from test_tensors import vectorization_matrix
@@ -174,3 +179,50 @@ def test_basis_map_matches_dense_oracle(mults, stack, seed):
     c = rng.normal(size=stack + (basis.dim,)) + 1j * rng.normal(size=stack + (basis.dim,))
     oracle = (c @ u.T).reshape(stack + (d, d))
     assert np.max(np.abs(basis.operator_of(c) - oracle)) <= 1e-15 * np.max(np.abs(c))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def check_long_pulse(problem):
+    """propagate for every ensemble member against the Liouville oracle, and
+    the exact gradient against the augmented one, over the whole pulse."""
+    ens, c = problem.ensemble, problem.controls
+    for offset, scale in ens.members:
+        system = problem.system.with_offset_shift(offset, ens.isotope)
+        controls = ControlSet(c.dt, c.power_hz * scale, c.channels, c.amplitudes)
+        traj = propagate(system, controls, problem.rho0)
+        oracle = liouville_trajectory(system, controls, problem.rho0)
+        assert np.max(np.abs(traj.states - oracle)) <= 1e-12
+    exact = grape_gradient(problem, c)
+    oracle = grape_gradient(problem, c, method="augmented")
+    assert np.max(np.abs(exact - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_broadband_pulse_matches_oracles():
+    # the broadband_excitation grid: 625 phase-modulated steps at 15 kHz,
+    # members at the offset and power extremes
+    system = SpinSystem((Spin("1H", 2, 0.0),))
+    basis = product_basis(system)
+    phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 625)
+    controls = ControlSet(1.6e-6, 15000.0, (("1H", "x"), ("1H", "y")),
+                          np.array([np.cos(phases), np.sin(phases)]))
+    check_long_pulse(ControlProblem(
+        system, parse_state(basis, "Lz(0)"), parse_state(basis, "Lx(0)"), controls,
+        ensemble=Ensemble((-25000.0, 25000.0), (0.7, 1.3), "1H"),
+    ))
+
+
+def test_relay_slice_matches_oracles():
+    # 50 relay-sized steps on the three-spin backbone (d = 8). The target is
+    # Lx(0), not the relay's Lz(2): a pulse this short leaves the Lz(2)
+    # gradient near 1e-5, where the absolute roundoff of any method (about
+    # 1e-15) is no longer 1e-12 of it. The augmented oracle costs about 50 ms
+    # a step, so the slice is short.
+    system = parse_system((CONFIGS / "backbone.yaml").read_text(encoding="utf-8"))
+    basis = product_basis(system)
+    controls = ControlSet(4e-5, 10000.0, (("1H", "x"), ("1H", "y")),
+                          np.random.default_rng(11).uniform(-1.0, 1.0, (2, 50)))
+    check_long_pulse(ControlProblem(
+        system, parse_state(basis, "Lz(0)"), parse_state(basis, "Lx(0)"), controls,
+    ))
