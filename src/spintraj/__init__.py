@@ -10,12 +10,10 @@ relaxation): one evaluation holds [M, T, d, d] arrays, not [M, T, D, D].
 from .analysis import (
     CohOrder,
     CorrOrder,
-    Custom,
     Involving,
     LocalSpin,
     bsg_transform,
     build_projector,
-    involvement_report,
     population_series,
     rdn,
     rsp,
@@ -36,7 +34,6 @@ from .grape import (
     Ensemble,
     OptimizationReport,
     ensemble_fidelity,
-    fidelity,
     grape_gradient,
     optimize,
     phase_chain_rule,

@@ -21,7 +21,6 @@ __all__ = [
     "CohOrder",
     "LocalSpin",
     "Involving",
-    "Custom",
     "Projector",
     "Family",
     "FAMILIES",
@@ -33,7 +32,6 @@ __all__ = [
     "bsg_transform",
     "rsp",
     "rdn",
-    "involvement_report",
     "family_populations",
 ]
 
@@ -64,13 +62,6 @@ class Involving:
     """All states whose label is non-unit on the given spin, including correlations."""
 
     spin: int
-
-
-@dataclass(frozen=True)
-class Custom:
-    """Explicit boolean mask over basis indices."""
-
-    mask: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -108,10 +99,6 @@ def build_projector(basis: ProductBasis, spec) -> Projector:
         if not 0 <= spec.spin < n_spins:
             raise DomainError(f"spin index {spec.spin} out of range")
         mask = np.array([lab.components[spec.spin][0] > 0 for lab in basis.labels])
-    elif isinstance(spec, Custom):
-        mask = np.asarray(spec.mask, dtype=bool)
-        if mask.shape != (basis.dim,):
-            raise DomainError("custom mask length does not match basis dimension")
     else:
         raise DomainError(f"unknown projector spec {spec!r}")
     return Projector(spec, mask)
@@ -215,50 +202,29 @@ class SimilarityReport:
         return np.abs(self.scores)
 
 
-def _check_pair(traj_a: Trajectory, traj_b: Trajectory):
+def _pair_values(traj_a: Trajectory, traj_b: Trajectory, grouping: str):
+    """Both trajectories' state rows, or their sg/bsg images, once the two share
+    a basis and a time grid."""
     if traj_a.basis != traj_b.basis or traj_a.n_points != traj_b.n_points:
         raise DomainError("trajectories live on different bases or time grids")
     if not np.allclose(traj_a.times, traj_b.times):
         raise DomainError("trajectories have different time grids")
-
-
-def _grouped_values(traj: Trajectory, grouping: str) -> np.ndarray:
-    if grouping == "sg":
-        return sg_transform(traj).values
-    if grouping == "bsg":
-        return bsg_transform(traj).values
-    raise DomainError(f"unknown grouping {grouping!r}")
+    if grouping == "none":
+        return traj_a.states, traj_b.states
+    transform = {"sg": sg_transform, "bsg": bsg_transform}.get(grouping)
+    if transform is None:
+        raise DomainError(f"unknown grouping {grouping!r}")
+    return transform(traj_a).values, transform(traj_b).values
 
 
 def rsp(traj_a: Trajectory, traj_b: Trajectory, grouping: str = "none") -> SimilarityReport:
     """Running scalar product <rho_a(t)|rho_b(t)>, optionally after grouping."""
-    _check_pair(traj_a, traj_b)
-    if grouping == "none":
-        scores = np.einsum("ti,ti->t", traj_a.states.conj(), traj_b.states)
-    else:
-        va = _grouped_values(traj_a, grouping)
-        vb = _grouped_values(traj_b, grouping)
-        scores = np.einsum("ti,ti->t", va, vb)
-    return SimilarityReport("rsp", grouping, traj_a.times, scores)
+    va, vb = _pair_values(traj_a, traj_b, grouping)
+    return SimilarityReport("rsp", grouping, traj_a.times, np.einsum("ti,ti->t", va.conj(), vb))
 
 
 def rdn(traj_a: Trajectory, traj_b: Trajectory, grouping: str = "none") -> SimilarityReport:
     """Running difference norm score 1 - ||rho_a(t) - rho_b(t)|| / 2."""
-    _check_pair(traj_a, traj_b)
-    if grouping == "none":
-        diff = np.linalg.norm(traj_a.states - traj_b.states, axis=1)
-    else:
-        va = _grouped_values(traj_a, grouping)
-        vb = _grouped_values(traj_b, grouping)
-        diff = np.linalg.norm(va - vb, axis=1)
-    return SimilarityReport("rdn", grouping, traj_a.times, 1.0 - diff / 2.0)
-
-
-def involvement_report(traj: Trajectory, threshold: float) -> list[dict]:
-    """Peak involvement of every spin along the trajectory and a droppable flag."""
-    if not 0.0 < threshold < 1.0:
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    _, series = family_populations(traj, "involvement")
-    peaks = [float(s.max()) for s in series]
-    return [{"spin": k, "max_involvement": peak, "droppable": peak < threshold}
-            for k, peak in enumerate(peaks)]
+    va, vb = _pair_values(traj_a, traj_b, grouping)
+    return SimilarityReport("rdn", grouping, traj_a.times,
+                            1.0 - np.linalg.norm(va - vb, axis=1) / 2.0)

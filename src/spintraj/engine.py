@@ -80,8 +80,10 @@ class ControlSet:
     def __post_init__(self):
         self.channels = tuple((iso, ax) for iso, ax in self.channels)
         self.amplitudes = np.atleast_2d(np.asarray(self.amplitudes, dtype=float))
-        if self.dt <= 0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not np.isfinite(self.power_hz):
+            raise DomainError(f"power_hz must be finite, got {self.power_hz}")
         for iso, ax in self.channels:
             if ax not in ("x", "y"):
                 raise DomainError(f"channel axis must be x or y, got {ax!r}")

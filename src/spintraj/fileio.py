@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ def _num(value, where: str) -> float:
                               "YAML reads 1e-3 as text, write it as 1.0e-3")
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              where, f"expected a number, got {value!r}")
+    # rejects nan and +-inf, and an integer too big for a double
+    _require(abs(value) <= sys.float_info.max, where, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -180,10 +183,13 @@ def read_waveform(text: str) -> ControlSet:
                     header[key] = float(value)
                 except ValueError:
                     raise FormatError(f"{where} expects a number, got {value!r}") from None
+                _require(math.isfinite(header[key]), where,
+                         f"expected a finite number, got {value!r}")
             elif key == "channels":
                 channels = tuple(tuple(part.split(":", 1)) for part in value.split(","))
                 for ch in channels:
-                    _require(len(ch) == 2, where, f"expected isotope:axis, got {ch[0]!r}")
+                    _require(len(ch) == 2 and ch[1] in ("x", "y"), where,
+                             f"expected isotope:x or isotope:y, got {':'.join(ch)!r}")
             else:
                 raise FormatError(f"{where}: unknown header; expected dt, power_hz or channels")
             continue

@@ -47,7 +47,6 @@ __all__ = [
     "Ensemble",
     "ControlProblem",
     "OptimizationReport",
-    "fidelity",
     "ensemble_fidelity",
     "grape_gradient",
     "phase_chain_rule",
@@ -97,6 +96,8 @@ class ControlProblem:
         if self.parametrization not in ("amplitudes", "phases"):
             raise DomainError(f"unknown parametrization {self.parametrization!r}")
         for name, sv in (("rho0", self.rho0), ("target", self.target)):
+            if sv.basis.system.multiplicities != self.system.multiplicities:
+                raise DomainError(f"{name} basis does not match the system")
             if abs(sv.norm - 1.0) > 1e-9:
                 raise DomainError(f"{name} must have unit norm, got {sv.norm}")
         if self.ensemble.isotope is not None:
@@ -118,17 +119,9 @@ class OptimizationReport:
     gradient_norm_history: list[float]
     fidelity_history: list[float]
     controls: ControlSet
-    evaluations: int  # fidelity+gradient evaluations computed, cache hits excluded
+    evaluations: int  # fidelity+gradient evaluations computed
     status: str = "converged"
     message: str = ""
-
-
-def fidelity(final_state: StateVector, target: StateVector) -> float:
-    """Transfer quality Re<target|final>."""
-    a, b = target.coefficients, final_state.coefficients
-    if a.shape != b.shape:
-        raise DomainError("states live in different bases")
-    return float(np.real(np.vdot(a, b)))
 
 
 class _EnsembleWorkspace:
@@ -155,10 +148,6 @@ class _EnsembleWorkspace:
         rho_t = core.final @ self.rho0 @ dagger(core.final)
         return np.real(np.einsum("ij,mij->m", self.target.conj(), rho_t)), core
 
-    def mean_fidelity(self, amplitudes: np.ndarray) -> tuple[float, np.ndarray]:
-        per = self._forward(amplitudes)[0]
-        return float(per.mean()), per
-
     def mean_fidelity_and_gradient(self, amplitudes: np.ndarray):
         per, core = self._forward(amplitudes)
         # With chi_0 = P_T^dagger target P_T, the states and costates are
@@ -178,9 +167,8 @@ class _EnsembleWorkspace:
 
 def ensemble_fidelity(problem: ControlProblem, controls: ControlSet) -> dict:
     """Unweighted mean and per-member fidelities over the robustness ensemble."""
-    ws = _EnsembleWorkspace(problem, controls)
-    mean, per = ws.mean_fidelity(controls.amplitudes)
-    return {"mean": mean, "per_member": per.tolist()}
+    per = _EnsembleWorkspace(problem, controls)._forward(controls.amplitudes)[0]
+    return {"mean": float(per.mean()), "per_member": per.tolist()}
 
 
 def grape_gradient(
@@ -314,16 +302,14 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
             )
         return x.reshape(controls0.n_channels, ws.n_steps)
 
-    cache: dict[bytes, tuple[float, np.ndarray, float]] = {}
-    best = {"obj": np.inf, "x": x0.copy(), "fid": -np.inf, "per": None}
+    best = {"obj": np.inf}  # lowest objective over every evaluated point
+    latest: dict = {}  # the point evaluated last, with its gradient and fidelity
+    fid_history: list[float] = []
+    grad_history: list[float] = []
     evaluations = 0
 
     def objective(x: np.ndarray):
         nonlocal evaluations
-        key = x.tobytes()
-        if key in cache:
-            obj, grad, _ = cache[key]
-            return obj, grad
         amps = unpack(x)
         fid, per, grad_amp = ws.mean_fidelity_and_gradient(amps)
         evaluations += 1
@@ -336,31 +322,22 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
             grad = -phase_chain_rule(grad_amp, cs).ravel()
         else:
             grad = -grad_amp.ravel()
-        if len(cache) > 8:
-            cache.clear()
-        cache[key] = (obj, grad, fid)
+        latest.update(x=x.copy(), grad=grad, fid=fid)
+        if not fid_history:  # minimize evaluates the start point first
+            fid_history.append(fid)
         if obj < best["obj"]:
             best.update(obj=obj, x=x.copy(), fid=fid, per=per)
         return obj, grad
 
-    fid_history: list[float] = []
-    grad_history: list[float] = []
-
     def callback(xk: np.ndarray):
-        entry = cache.get(xk.tobytes())
-        if entry is None:
-            obj, grad = objective(xk)
-            fid = cache[xk.tobytes()][2]
-        else:
-            obj, grad, fid = entry
-        fid_history.append(fid)
-        grad_history.append(float(np.max(np.abs(grad))))
-        if problem.fidelity_stop is not None and fid >= problem.fidelity_stop:
+        # L-BFGS-B reports the point it has just evaluated; anything else is
+        # evaluated here so the histories stay exact
+        if not np.array_equal(xk, latest["x"]):
+            objective(xk)
+        fid_history.append(latest["fid"])
+        grad_history.append(float(np.max(np.abs(latest["grad"]))))
+        if problem.fidelity_stop is not None and latest["fid"] >= problem.fidelity_stop:
             raise _StopAtFidelity
-
-    # initial point is a valid fallback
-    obj0, _ = objective(x0)
-    fid_history.append(cache[x0.tobytes()][2])
 
     status, message = "converged", ""
     try:

@@ -5,7 +5,6 @@ from spintraj import (
     CohOrder,
     ControlSet,
     CorrOrder,
-    Custom,
     Involving,
     LocalSpin,
     Spin,
@@ -15,7 +14,6 @@ from spintraj import (
     bsg_transform,
     build_projector,
     commutation_superoperator,
-    involvement_report,
     population_series,
     product_basis,
     propagate,
@@ -24,6 +22,7 @@ from spintraj import (
     sg_transform,
     spin_operator,
 )
+from spintraj.analysis import family_populations
 from spintraj.errors import DomainError
 from test_grape import normalized_operator_state
 
@@ -82,10 +81,6 @@ class TestBuildProjector:
             build_projector(two_spin_basis, CohOrder(3))
         with pytest.raises(DomainError):
             build_projector(two_spin_basis, LocalSpin(2))
-
-    def test_custom_mask(self, two_spin_basis):
-        mask = tuple(i == 0 for i in range(two_spin_basis.dim))
-        assert build_projector(two_spin_basis, Custom(mask)).size == 1
 
 
 class TestPopulation:
@@ -280,13 +275,6 @@ class TestInvolvementReport:
         )
         rho0 = normalized_operator_state(basis, spin_operator(system, 0, "z"))
         traj = propagate(system, controls, rho0)
-        report = involvement_report(traj, threshold=0.1)
-        assert report[1]["max_involvement"] < 1e-9
-        assert report[1]["droppable"]
-        assert report[0]["max_involvement"] >= 1.0 - 1e-9
-        assert not report[0]["droppable"]
-
-    def test_threshold_range(self, two_spin_basis):
-        traj = static_trajectory(random_state(two_spin_basis, 2))
-        with pytest.raises(DomainError):
-            involvement_report(traj, threshold=1.5)
+        _, series = family_populations(traj, "involvement")
+        assert series[1].max() < 1e-9
+        assert series[0].max() >= 1.0 - 1e-9

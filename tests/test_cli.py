@@ -221,6 +221,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("header, value", [
         ("dt", "abc"), ("power_hz", "1e3kHz"), ("channels", "1H"),
+        ("dt", "inf"), ("power_hz", "nan"), ("channels", "1H:z"),
     ])
     def test_malformed_waveform_header(self, tmp_path, one_spin_files, capsys,
                                        header, value):
@@ -264,6 +265,18 @@ class TestExitCodes:
          "config.problem.ensemble.power_scales"),
         ("max_iterations: 60", "max_iterations: 60\n  fidelity_stop: high",
          "config.problem.fidelity_stop"),
+        ("max_iterations: 60", "max_iterations: 60\n  tolerance: .nan",
+         "config.problem.tolerance"),
+        ("max_iterations: 60", "max_iterations: 60\n  fidelity_stop: .nan",
+         "config.problem.fidelity_stop"),
+        ("power_hz: 5000.0", "power_hz: .nan", "config.problem.power_hz"),
+        ("duration: 2.0e-4", "duration: .inf", "config.problem.duration"),
+        ("max_iterations: 60", "max_iterations: 60\n  ensemble: {power_scales: [.inf]}",
+         "config.problem.ensemble.power_scales[0]"),
+        ("max_iterations: 60", "max_iterations: 60\n  power_penalty: .inf",
+         "config.problem.power_penalty"),
+        pytest.param("power_hz: 5000.0", "power_hz: 1" + "0" * 400, "config.problem.power_hz",
+                     id="integer-beyond-double-range"),
     ])
     def test_non_numeric_config_fields(self, tmp_path, capsys, old, new, field):
         cfg = tmp_path / "config.yaml"

@@ -360,6 +360,10 @@ class TestControlSet:
         with pytest.raises(DomainError):
             ControlSet(dt=1e-4, power_hz=1.0, channels=(("1H", "x"), ("1H", "y")),
                        amplitudes=np.zeros((1, 4)))
+        for dt, power_hz in ((np.nan, 1.0), (np.inf, 1.0), (1e-4, np.nan), (1e-4, -np.inf)):
+            with pytest.raises(DomainError):
+                ControlSet(dt=dt, power_hz=power_hz, channels=(("1H", "x"),),
+                           amplitudes=np.zeros((1, 4)))
 
     def test_single_step_is_legal(self):
         cs = ControlSet(dt=1e-3, power_hz=1.0, channels=(("1H", "x"),),

@@ -10,7 +10,6 @@ from spintraj import (
     SpinSystem,
     StateVector,
     ensemble_fidelity,
-    fidelity,
     grape_gradient,
     optimize,
     phase_chain_rule,
@@ -62,36 +61,6 @@ def finite_difference_gradient(problem, controls, step=1e-6):
                 cs = ControlSet(controls.dt, controls.power_hz, controls.channels, shifted)
                 grad[k, n] += sign * ensemble_fidelity(problem, cs)["mean"]
     return grad / (2 * step)
-
-
-class TestFidelity:
-    def test_identical_unit_vectors(self):
-        basis = product_basis(SpinSystem((Spin("1H", 2),)))
-        c = np.zeros(4, dtype=complex)
-        c[2] = 1.0
-        sv = StateVector(c, basis)
-        assert fidelity(sv, sv) == 1.0
-
-    def test_orthogonal_raising_lowering(self):
-        basis = product_basis(SpinSystem((Spin("1H", 2),)))
-        plus = np.zeros(4, dtype=complex)
-        minus = np.zeros(4, dtype=complex)
-        plus[basis.index[((1, 1),)]] = 1.0
-        minus[basis.index[((1, -1),)]] = 1.0
-        assert fidelity(StateVector(plus, basis), StateVector(minus, basis)) == 0.0
-
-    def test_imaginary_overlap(self):
-        basis = product_basis(SpinSystem((Spin("1H", 2),)))
-        c = np.zeros(4, dtype=complex)
-        c[1] = 1.0
-        sv = StateVector(c, basis)
-        assert fidelity(StateVector(1j * c, basis), sv) == pytest.approx(0.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        b1 = product_basis(SpinSystem((Spin("1H", 2),)))
-        b2 = product_basis(SpinSystem((Spin("14N", 3),)))
-        with pytest.raises(DomainError):
-            fidelity(StateVector(np.zeros(4), b1), StateVector(np.zeros(9), b2))
 
 
 class TestGradient:
@@ -206,7 +175,7 @@ class TestEnsembleFidelity:
         result = ensemble_fidelity(problem, controls)
         traj = propagate(problem.system, controls, problem.rho0)
         assert result["mean"] == pytest.approx(
-            fidelity(StateVector(traj.states[-1], traj.basis), problem.target), abs=1e-12
+            np.vdot(problem.target.coefficients, traj.states[-1]).real, abs=1e-12
         )
         assert len(result["per_member"]) == 1
 
@@ -308,9 +277,27 @@ class TestOptimize:
         report = optimize(self.make_simple_problem(
             seed=4, max_iterations=5, ensemble=Ensemble((-300.0, 300.0), (0.9, 1.1)),
         ))
-        # the starting point is evaluated before the optimizer asks for it again;
-        # that second request is a cache hit and not counted
+        # every point the optimizer asks for is computed once and counted, the
+        # starting point included
         assert report.evaluations == len(computed) >= report.iterations + 1
+
+    def test_callback_evaluates_a_point_it_was_not_given(self, monkeypatch):
+        import scipy.optimize
+
+        def one_step(fun, x0, callback, **kwargs):
+            fun(x0)
+            callback(x0 + 0.01)  # not the point just evaluated
+            return scipy.optimize.OptimizeResult(nit=1, message="done", success=True)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", one_step)
+        problem = self.make_simple_problem(seed=4)
+        start, x0 = grape._initial_controls(problem)
+        report = optimize(problem)
+        moved = ControlSet(start.dt, start.power_hz, start.channels,
+                           (x0 + 0.01).reshape(start.amplitudes.shape))
+        assert report.evaluations == 2
+        assert report.fidelity_history == [ensemble_fidelity(problem, start)["mean"],
+                                           ensemble_fidelity(problem, moved)["mean"]]
 
     def test_fidelity_stop(self):
         problem = self.make_simple_problem(fidelity_stop=0.9)
@@ -341,3 +328,19 @@ class TestOptimize:
         good = StateVector(np.array([1.0, 0, 0, 0]), basis)
         with pytest.raises(DomainError):
             ControlProblem(system, bad, good, controls)
+
+    @pytest.mark.parametrize("spins", [
+        (Spin("1H", 2), Spin("14N", 3)),  # the same spins in the other order
+        (Spin("1H", 2),),
+    ])
+    def test_states_of_another_basis_rejected(self, spins):
+        system = SpinSystem(spins)
+        foreign = product_basis(SpinSystem((Spin("14N", 3), Spin("1H", 2))))
+        rho0 = normalized_operator_state(foreign, spin_operator(foreign.system, 1, "z"))
+        target = normalized_operator_state(foreign, spin_operator(foreign.system, 1, "x"))
+        controls = ControlSet(
+            dt=1e-4, power_hz=1000.0, channels=(("1H", "x"),),
+            amplitudes=np.zeros((1, 2)),
+        )
+        with pytest.raises(DomainError, match="rho0 basis"):
+            ControlProblem(system, rho0, target, controls)
