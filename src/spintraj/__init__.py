@@ -36,7 +36,6 @@ from .grape import (
     ensemble_fidelity,
     grape_gradient,
     optimize,
-    phase_chain_rule,
 )
 from .system import Coupling, Quadrupole, Spin, SpinSystem
 from .tensors import (

@@ -61,10 +61,11 @@ def _require(cond: bool, where: str, what: str):
 def _num(value, where: str) -> float:
     if isinstance(value, str):
         try:
-            float(value)
+            number = float(value)
         except ValueError:
             pass
         else:  # YAML 1.1 reads exponents without a decimal point, like 1e-3, as text
+            _require(math.isfinite(number), where, f"expected a finite number, got {value!r}")
             raise FormatError(f"{where}: expected a number, got the string {value!r}; "
                               "YAML reads 1e-3 as text, write it as 1.0e-3")
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
@@ -185,6 +186,8 @@ def read_waveform(text: str) -> ControlSet:
                     raise FormatError(f"{where} expects a number, got {value!r}") from None
                 _require(math.isfinite(header[key]), where,
                          f"expected a finite number, got {value!r}")
+                _require(key != "dt" or header[key] > 0, where,
+                         f"expected a positive time step, got {value!r}")
             elif key == "channels":
                 channels = tuple(tuple(part.split(":", 1)) for part in value.split(","))
                 for ch in channels:
@@ -198,9 +201,7 @@ def read_waveform(text: str) -> ControlSet:
         _require(key in header, "waveform", f"missing '# {key}=' header")
     _require(channels is not None, "waveform", "missing '# channels=' header")
     _require(bool(rows), "waveform", "no amplitude rows (n_steps must be >= 1)")
-    amps = _data_rows(rows, len(channels), "waveform").T
-    if not np.all(np.isfinite(amps)):
-        raise NumericError("waveform contains non-finite values")
+    amps = _data_rows(rows, len(channels), "waveform").T  # ControlSet rejects nan and inf
     return ControlSet(header["dt"], header["power_hz"], channels, amps)
 
 
@@ -341,11 +342,11 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
     for key in ("initial", "target", "n_steps", "power_hz", "channels"):
         _require(key in prob, "config.problem", f"missing {key}")
     n_steps = _int(prob["n_steps"], "config.problem.n_steps", 1)
-    if "dt" in prob:
-        dt = _num(prob["dt"], "config.problem.dt")
-    else:
-        _require("duration" in prob, "config.problem", "needs dt or duration")
-        dt = _num(prob["duration"], "config.problem.duration") / n_steps
+    span = "dt" if "dt" in prob else "duration"
+    _require(span in prob, "config.problem", "needs dt or duration")
+    length = _num(prob[span], f"config.problem.{span}")
+    _require(length > 0, f"config.problem.{span}", f"expected a positive time, got {length!r}")
+    dt = length if span == "dt" else length / n_steps
     channels = tuple(tuple(str(ch).split(":", 1))
                      for ch in _list(prob["channels"], "config.problem.channels"))
     _require(bool(channels), "config.problem.channels", "needs at least one channel")
@@ -362,7 +363,12 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
     for k, spec in enumerate(specs):
         _require(isinstance(spec, str) and spec in FAMILIES, f"config.analysis.specs[{k}]",
                  f"expected one of {', '.join(FAMILIES)}, got {spec!r}")
+    tolerance = _num(prob.get("tolerance", 1e-6), "config.problem.tolerance")
+    _require(tolerance >= 0, "config.problem.tolerance", f"must be nonnegative, got {tolerance!r}")
     fid_stop = prob.get("fidelity_stop")
+    if fid_stop is not None:  # a fidelity never exceeds 1
+        fid_stop = _num(fid_stop, "config.problem.fidelity_stop")
+        _require(fid_stop <= 1, "config.problem.fidelity_stop", f"must be <= 1, got {fid_stop!r}")
     return ExperimentConfig(
         system=system,
         seed=_int(doc["seed"], "config.seed", 0),
@@ -379,9 +385,8 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
         ensemble_isotope=ens.get("isotope"),
         max_iterations=_int(prob.get("max_iterations", 1000),
                             "config.problem.max_iterations", 0),
-        tolerance=_num(prob.get("tolerance", 1e-6), "config.problem.tolerance"),
+        tolerance=tolerance,
         power_penalty=_num(prob.get("power_penalty", 0.0), "config.problem.power_penalty"),
-        fidelity_stop=None if fid_stop is None else _num(
-            fid_stop, "config.problem.fidelity_stop"),
+        fidelity_stop=fid_stop,
         analysis_specs=specs,
     )

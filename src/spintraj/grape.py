@@ -21,7 +21,9 @@ rotation of Bloch vectors, in closed form on the engine's SU(2) arrays, as in
 broadband pulse design (Kobzar et al., JMR 170 (2004) 236). Both are tested
 against the Liouville-space augmented block-triangular exponential,
 method="augmented". Ascent is quasi-Newton (L-BFGS, memory 10) with a strong
-Wolfe line search.
+Wolfe line search. Phase-only pulses optimize one phase phi per x/y channel
+pair and step, with unit amplitudes (cx, cy) = (cos phi, sin phi), so the
+amplitude gradient (gx, gy) pulls back to dF/dphi = cx gy - cy gx.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "OptimizationReport",
     "ensemble_fidelity",
     "grape_gradient",
-    "phase_chain_rule",
     "optimize",
 ]
 
@@ -102,8 +103,8 @@ class ControlProblem:
                 raise DomainError(f"{name} must have unit norm, got {sv.norm}")
         if self.ensemble.isotope is not None:
             self.system.spins_of_isotope(self.ensemble.isotope)  # raises if none
-        if self.power_penalty < 0:
-            raise DomainError("power_penalty must be nonnegative")
+        if min(self.power_penalty, self.tolerance) < 0:
+            raise DomainError("power_penalty and tolerance must be nonnegative")
         if self.power_penalty > 0 and self.parametrization == "phases":
             raise DomainError(
                 "power_penalty applies to amplitudes; phase-only pulses have a "
@@ -128,7 +129,7 @@ class _EnsembleWorkspace:
     """Member drift Hamiltonians, control operators, and rho0/target as d x d matrices."""
 
     def __init__(self, problem: ControlProblem, controls: ControlSet):
-        self.dt, self.n_steps = controls.dt, controls.n_steps
+        self.dt = controls.dt
         sys, ens = problem.system, problem.ensemble
         d = sys.hilbert_dim
         self.ops = np.reshape(control_operators(sys, controls.channels), (-1, d, d))
@@ -224,83 +225,43 @@ def _augmented_gradient(problem: ControlProblem, controls: ControlSet) -> np.nda
     return grad.mean(axis=0)
 
 
-def phase_chain_rule(gradient_xy: np.ndarray, controls: ControlSet) -> np.ndarray:
-    """Convert an amplitude gradient to a phase gradient for constant-amplitude pulses.
-
-    Returns one row per x/y channel pair: df/dphi = A(-sin(phi) gx + cos(phi) gy).
-    """
-    pairs = controls.xy_pairs()
-    out = np.empty((len(pairs), controls.n_steps))
-    for p, (kx, ky) in enumerate(pairs):
-        cx, cy = controls.amplitudes[kx], controls.amplitudes[ky]
-        amp = np.hypot(cx, cy)
-        if amp.size > 1 and np.max(amp) - np.min(amp) > 1e-9 * max(np.max(amp), 1.0):
-            raise DomainError("phase parametrization requires a constant amplitude")
-        phi = np.arctan2(cy, cx)
-        out[p] = amp * (-np.sin(phi) * gradient_xy[kx] + np.cos(phi) * gradient_xy[ky])
-    return out
-
-
-def _phases_to_amplitudes(
-    phases: np.ndarray, pairs, n_channels: int, n_steps: int
-) -> np.ndarray:
-    amp = np.zeros((n_channels, n_steps))
-    cx, cy = np.cos(phases), np.sin(phases)
-    r = np.hypot(cx, cy)
-    cx, cy = cx / r, cy / r  # pin sqrt(cx^2 + cy^2) to 1 exactly
-    for p, (kx, ky) in enumerate(pairs):
-        amp[kx] = cx[p]
-        amp[ky] = cy[p]
-    return amp
-
-
 class _StopAtFidelity(Exception):
     pass
 
 
-def _initial_controls(problem: ControlProblem) -> tuple[ControlSet, np.ndarray]:
-    """Seeded random initial guess (or the problem's own controls when seed is None).
-
-    Returns the starting ControlSet and the packed optimization variables.
-    """
+def _start_variables(problem: ControlProblem, kx, ky) -> np.ndarray:
+    """Uniform random when the problem has a seed, else its own controls: one row
+    per channel, or for phases one per x/y channel pair (x rows kx, y rows ky)."""
     c = problem.controls
-    if problem.parametrization == "phases":
-        pairs = c.xy_pairs()
-        if problem.seed is not None:
-            rng = np.random.default_rng(problem.seed)
-            phases = rng.uniform(0.0, 2.0 * np.pi, (len(pairs), c.n_steps))
-        else:
-            phases = np.arctan2(
-                c.amplitudes[[ky for _, ky in pairs]],
-                c.amplitudes[[kx for kx, _ in pairs]],
-            )
-        amps = _phases_to_amplitudes(phases, pairs, c.n_channels, c.n_steps)
-        return replace(c, amplitudes=amps), phases.ravel()
-    if problem.seed is not None:
-        rng = np.random.default_rng(problem.seed)
-        amps = rng.uniform(-0.1, 0.1, (c.n_channels, c.n_steps))
+    rng = None if problem.seed is None else np.random.default_rng(problem.seed)
+    if problem.parametrization == "amplitudes":
+        x = c.amplitudes if rng is None else rng.uniform(-0.1, 0.1, c.amplitudes.shape)
+    elif rng is None:
+        x = np.arctan2(c.amplitudes[ky], c.amplitudes[kx])
     else:
-        amps = c.amplitudes.copy()
-    return replace(c, amplitudes=amps), amps.ravel()
+        x = rng.uniform(0.0, 2.0 * np.pi, (len(kx), c.n_steps))
+    return x.flatten()
 
 
 def optimize(problem: ControlProblem) -> OptimizationReport:
     """Maximize the ensemble-mean fidelity by L-BFGS ascent; never raises on
     line-search failure (returns the best controls seen with a status flag)."""
     import scipy.optimize  # on first use: commands that never optimize do not load scipy
-    controls0, x0 = _initial_controls(problem)
-    ws = _EnsembleWorkspace(problem, controls0)
+    c0 = problem.controls
+    ws = _EnsembleWorkspace(problem, c0)
     phases_mode = problem.parametrization == "phases"
-    pairs = controls0.xy_pairs() if phases_mode else ()
+    kx, ky = np.transpose(c0.xy_pairs()) if phases_mode else (None, None)
+    x0 = _start_variables(problem, kx, ky)
     lam = problem.power_penalty
 
-    def unpack(x: np.ndarray) -> np.ndarray:
-        if phases_mode:
-            phases = x.reshape(len(pairs), ws.n_steps)
-            return _phases_to_amplitudes(
-                phases, pairs, controls0.n_channels, ws.n_steps
-            )
-        return x.reshape(controls0.n_channels, ws.n_steps)
+    def to_amplitudes(x: np.ndarray) -> np.ndarray:
+        if not phases_mode:
+            return x.reshape(c0.amplitudes.shape)
+        cx, cy = np.cos(x).reshape(len(kx), -1), np.sin(x).reshape(len(kx), -1)
+        r = np.hypot(cx, cy)  # pin sqrt(cx^2 + cy^2) to 1 exactly
+        amps = np.zeros(c0.amplitudes.shape)
+        amps[kx], amps[ky] = cx / r, cy / r
+        return amps
 
     best = {"obj": np.inf}  # lowest objective over every evaluated point
     latest: dict = {}  # the point evaluated last, with its gradient and fidelity
@@ -310,18 +271,16 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
 
     def objective(x: np.ndarray):
         nonlocal evaluations
-        amps = unpack(x)
+        amps = to_amplitudes(x)
         fid, per, grad_amp = ws.mean_fidelity_and_gradient(amps)
         evaluations += 1
         obj = -fid
         if lam > 0.0:
             obj += lam * float(np.sum(amps**2))
             grad_amp = grad_amp - 2.0 * lam * amps
-        if phases_mode:
-            cs = replace(controls0, amplitudes=amps)
-            grad = -phase_chain_rule(grad_amp, cs).ravel()
-        else:
-            grad = -grad_amp.ravel()
+        if phases_mode:  # d(cx, cy)/dphi = (-cy, cx) on the unit circle
+            grad_amp = amps[kx] * grad_amp[ky] - amps[ky] * grad_amp[kx]
+        grad = -grad_amp.ravel()
         latest.update(x=x.copy(), grad=grad, fid=fid)
         if not fid_history:  # minimize evaluates the start point first
             fid_history.append(fid)
@@ -339,7 +298,6 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
         if problem.fidelity_stop is not None and latest["fid"] >= problem.fidelity_stop:
             raise _StopAtFidelity
 
-    status, message = "converged", ""
     try:
         res = scipy.optimize.minimize(
             objective,
@@ -356,15 +314,13 @@ def optimize(problem: ControlProblem) -> OptimizationReport:
         )
         iterations = int(res.nit)
         message = str(res.message)
-        if not res.success:
-            status = (
-                "line_search_failure" if "LNSRCH" in message.upper() else "not_converged"
-            )
+        # L-BFGS-B: 0 converged, 1 iteration or evaluation limit, 2 line search failed
+        status = ("converged", "not_converged", "line_search_failure")[res.status]
     except _StopAtFidelity:
         iterations = len(fid_history) - 1
         status, message = "fidelity_stop", "requested fidelity reached"
 
-    opt_controls = replace(controls0, amplitudes=unpack(best["x"]))
+    opt_controls = replace(c0, amplitudes=to_amplitudes(best["x"]))
     return OptimizationReport(
         final_fidelity=best["fid"],
         per_member_fidelities=best["per"].tolist(),

@@ -222,6 +222,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("header, value", [
         ("dt", "abc"), ("power_hz", "1e3kHz"), ("channels", "1H"),
         ("dt", "inf"), ("power_hz", "nan"), ("channels", "1H:z"),
+        ("dt", "0"), ("dt", "-1e-5"),
     ])
     def test_malformed_waveform_header(self, tmp_path, one_spin_files, capsys,
                                        header, value):
@@ -277,6 +278,15 @@ class TestExitCodes:
          "config.problem.power_penalty"),
         pytest.param("power_hz: 5000.0", "power_hz: 1" + "0" * 400, "config.problem.power_hz",
                      id="integer-beyond-double-range"),
+        ("duration: 2.0e-4", "dt: -2.0e-5", "config.problem.dt"),
+        ("duration: 2.0e-4", "duration: 0.0", "config.problem.duration"),
+        ("duration: 2.0e-4", "duration: -2.0e-4", "config.problem.duration"),
+        # a gradient norm never falls below a negative tolerance, and a fidelity
+        # never exceeds 1: neither option could ever take effect
+        ("max_iterations: 60", "max_iterations: 60\n  tolerance: -1.0",
+         "config.problem.tolerance"),
+        ("max_iterations: 60", "max_iterations: 60\n  fidelity_stop: 5.0",
+         "config.problem.fidelity_stop"),
     ])
     def test_non_numeric_config_fields(self, tmp_path, capsys, old, new, field):
         cfg = tmp_path / "config.yaml"
@@ -294,6 +304,17 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "config.problem.tolerance" in err and "1.0e-3" in err
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_text_gets_no_exponent_hint(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("max_iterations: 60",
+                                            f"max_iterations: 60\n  tolerance: {text}"))
+        code = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "config.problem.tolerance: expected a finite number" in err
+        assert "1.0e-3" not in err
 
     def test_power_penalty_with_phases(self, tmp_path, capsys):
         cfg = tmp_path / "config.yaml"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from spintraj import (
     ensemble_fidelity,
     grape_gradient,
     optimize,
-    phase_chain_rule,
     product_basis,
     spin_operator,
 )
@@ -117,54 +118,54 @@ class TestGradient:
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
 
 
-class TestPhaseChainRule:
-    def make_controls(self, phases):
-        amps = np.vstack([np.cos(phases), np.sin(phases)])
-        return ControlSet(
-            dt=1e-4, power_hz=1000.0,
-            channels=(("1H", "x"), ("1H", "y")), amplitudes=amps,
+def captured_objective(monkeypatch, problem):
+    """The objective that optimize hands to scipy.optimize.minimize, and its start point."""
+    import scipy.optimize
+
+    captured = {}
+
+    def capture(fun, x0, **kwargs):
+        captured.update(fun=fun, x0=x0)
+        fun(x0)
+        return scipy.optimize.OptimizeResult(nit=0, status=0, message="", success=True)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", capture)
+    optimize(problem)
+    return captured["fun"], captured["x0"]
+
+
+class TestObjectiveGradient:
+    @pytest.mark.parametrize("kwargs", [
+        {"parametrization": "phases"},  # two x/y pairs, phases of the problem's controls
+        {"power_penalty": 0.3},
+        {"parametrization": "phases", "seed": 5},
+    ], ids=["phases", "amplitudes-penalty", "phases-seeded"])
+    def test_matches_central_differences(self, monkeypatch, kwargs):
+        problem, _ = random_problem(8, n_steps=4)
+        problem = replace(
+            problem, ensemble=Ensemble((-200.0, 100.0), (0.9, 1.1), "1H"), **kwargs
         )
-
-    def test_zero_phase(self):
-        controls = self.make_controls(np.zeros(3))
-        grad_xy = np.array([[2.0, 3.0, 4.0], [5.0, 6.0, 7.0]])
-        out = phase_chain_rule(grad_xy, controls)
-        assert np.allclose(out, grad_xy[1], atol=1e-12)
-
-    def test_quarter_turn(self):
-        controls = self.make_controls(np.full(3, np.pi / 2))
-        grad_xy = np.array([[2.0, 3.0, 4.0], [5.0, 6.0, 7.0]])
-        out = phase_chain_rule(grad_xy, controls)
-        assert np.allclose(out, -grad_xy[0], atol=1e-12)
-
-    def test_matches_finite_differences_in_phase(self):
-        rng = np.random.default_rng(31)
-        system = SpinSystem((Spin("1H", 2, 200.0),))
-        basis = product_basis(system)
-        rho0 = normalized_operator_state(basis, spin_operator(system, 0, "z"))
-        target = normalized_operator_state(basis, spin_operator(system, 0, "x"))
-        phases = rng.uniform(0, 2 * np.pi, 6)
-        controls = self.make_controls(phases)
-        problem = ControlProblem(system, rho0, target, controls)
-        grad_phi = phase_chain_rule(grape_gradient(problem, controls), controls)[0]
+        fun, x0 = captured_objective(monkeypatch, problem)
+        grad = fun(x0)[1]
         step = 1e-6
-        fd = np.zeros_like(phases)
-        for n in range(len(phases)):
-            for sign in (1, -1):
-                shifted = phases.copy()
-                shifted[n] += sign * step
-                cs = self.make_controls(shifted)
-                fd[n] += sign * ensemble_fidelity(problem, cs)["mean"]
-        fd /= 2 * step
-        assert np.max(np.abs(grad_phi - fd)) / np.max(np.abs(fd)) < 1e-6
+        fd = np.array([(fun(x0 + step * e)[0] - fun(x0 - step * e)[0]) / (2 * step)
+                       for e in np.eye(x0.size)])
+        assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) < 1e-6
 
-    def test_unpaired_channels_rejected(self):
+    def test_phases_on_unpaired_channel_rejected(self):
+        system = SpinSystem((Spin("1H", 2),))
+        basis = product_basis(system)
         controls = ControlSet(
             dt=1e-4, power_hz=1000.0, channels=(("1H", "x"),),
             amplitudes=np.ones((1, 3)),
         )
-        with pytest.raises(DomainError):
-            phase_chain_rule(np.ones((1, 3)), controls)
+        problem = ControlProblem(
+            system, normalized_operator_state(basis, spin_operator(system, 0, "z")),
+            normalized_operator_state(basis, spin_operator(system, 0, "x")), controls,
+            parametrization="phases",
+        )
+        with pytest.raises(DomainError, match="x/y channel pair"):
+            optimize(problem)
 
 
 class TestEnsembleFidelity:
@@ -217,7 +218,8 @@ class TestOptimize:
 
     def test_never_worse_than_initial_guess(self):
         problem = self.make_simple_problem(max_iterations=2)
-        initial, _ = __import__("spintraj.grape", fromlist=["x"])._initial_controls(problem)
+        x0 = grape._start_variables(problem, None, None)
+        initial = replace(problem.controls, amplitudes=x0.reshape(2, 1))
         f0 = ensemble_fidelity(problem, initial)["mean"]
         report = optimize(problem)
         assert report.final_fidelity >= f0
@@ -287,17 +289,34 @@ class TestOptimize:
         def one_step(fun, x0, callback, **kwargs):
             fun(x0)
             callback(x0 + 0.01)  # not the point just evaluated
-            return scipy.optimize.OptimizeResult(nit=1, message="done", success=True)
+            return scipy.optimize.OptimizeResult(nit=1, status=0, message="done",
+                                                 success=True)
 
         monkeypatch.setattr(scipy.optimize, "minimize", one_step)
         problem = self.make_simple_problem(seed=4)
-        start, x0 = grape._initial_controls(problem)
+        x0 = grape._start_variables(problem, None, None)
         report = optimize(problem)
-        moved = ControlSet(start.dt, start.power_hz, start.channels,
-                           (x0 + 0.01).reshape(start.amplitudes.shape))
+        start = replace(problem.controls, amplitudes=x0.reshape(2, 1))
+        moved = replace(problem.controls, amplitudes=(x0 + 0.01).reshape(2, 1))
         assert report.evaluations == 2
         assert report.fidelity_history == [ensemble_fidelity(problem, start)["mean"],
                                            ensemble_fidelity(problem, moved)["mean"]]
+
+    @pytest.mark.parametrize("code, message, status", [
+        (1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT", "not_converged"),
+        (2, "ABNORMAL: ", "line_search_failure"),  # scipy 1.17 names no line search
+    ])
+    def test_status_follows_the_optimizer_code(self, monkeypatch, code, message, status):
+        import scipy.optimize
+
+        def stopped(fun, x0, **kwargs):
+            fun(x0)
+            return scipy.optimize.OptimizeResult(nit=0, status=code, message=message,
+                                                 success=False)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", stopped)
+        report = optimize(self.make_simple_problem(seed=4))
+        assert (report.status, report.message) == (status, message)
 
     def test_fidelity_stop(self):
         problem = self.make_simple_problem(fidelity_stop=0.9)
@@ -311,6 +330,11 @@ class TestOptimize:
         assert np.sum(penalized.controls.amplitudes**2) <= np.sum(
             free.controls.amplitudes**2
         ) + 1e-12
+
+    @pytest.mark.parametrize("field", ["power_penalty", "tolerance"])
+    def test_negative_weight_or_tolerance_rejected(self, field):
+        with pytest.raises(DomainError, match="nonnegative"):
+            self.make_simple_problem(**{field: -1.0})
 
     def test_power_penalty_with_phases_rejected(self):
         # a phase-only pulse has fixed power, so the penalty would be ignored
