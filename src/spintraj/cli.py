@@ -1,27 +1,32 @@
 """Command-line surface: simulate, optimize, analyze, compare, basis.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 missing file,
-4 malformed file, 5 invalid physical/spec input, 6 numerical failure.
+Exit codes: 0 success, 2 usage error (argparse), 3 missing, unreadable or
+unwritable file, 4 malformed file, 5 invalid physical/spec input, 6 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import __version__, analysis
 from .engine import propagate
 from .errors import DomainError, FormatError, NumericError
 from .expressions import parse_state
 from .fileio import (
+    cached_rows,
     parse_config,
     parse_system,
     read_trajectory,
     read_waveform,
+    trajectory_cache,
     write_trajectory,
     write_waveform,
 )
@@ -34,8 +39,44 @@ EXIT_DOMAIN = 5
 EXIT_NUMERIC = 6
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _decode(data: bytes, path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _read(path) -> str:
+    return _decode(Path(path).read_bytes(), path)
+
+
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # mkdir's word for a file in the way
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", path) from None
+    return out
+
+
+def _save_trajectory(out: Path, traj) -> Path:
+    """`trajectory.txt` in `out`, and beside it the binary cache of its rows."""
+    path = out / "trajectory.txt"
+    data = write_trajectory(traj).encode("utf-8")
+    path.write_bytes(data)
+    Path(f"{path}.cache").write_bytes(trajectory_cache(data, traj))
+    return path
+
+
+def _load_trajectory(path: str, expected_basis=None):
+    """Read a trajectory file, taking its rows from `<path>.cache` when that
+    cache was written for exactly these bytes."""
+    data = Path(path).read_bytes()
+    try:
+        cache = Path(f"{path}.cache").read_bytes()
+    except OSError:  # no cache, or none that can be read: parse the text
+        cache = b""
+    return read_trajectory(_decode(data, path), expected_basis, cached_rows(data, cache))
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
@@ -59,20 +100,22 @@ def _cmd_simulate(args) -> int:
     basis = product_basis(system)
     rho0 = parse_state(basis, args.initial)
     traj = propagate(system, controls, rho0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "trajectory.txt").write_text(write_trajectory(traj), encoding="utf-8")
-    print(f"wrote {out / 'trajectory.txt'}")
+    print(f"wrote {_save_trajectory(_out_dir(args.out), traj)}")
     return 0
 
 
+def _provenance(config: str) -> dict:
+    """The config's SHA-256 and the package versions of a run. BLAS threads and
+    wall time are left out, so reruns of a seeded config write the same bytes."""
+    import scipy  # optimize has loaded it already
+
+    return {"config_sha256": hashlib.sha256(config.encode("utf-8")).hexdigest(),
+            "spintraj": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def _cmd_optimize(args) -> int:
-    cfg_path = Path(args.config)
-
-    def loader(rel: str) -> str:
-        return (cfg_path.parent / rel).read_text(encoding="utf-8")
-
-    cfg = parse_config(_read(args.config), system_loader=loader)
+    config = _read(args.config)
+    cfg = parse_config(config, system_loader=lambda rel: _read(Path(args.config).parent / rel))
     basis = product_basis(cfg.system)
     rho0 = parse_state(basis, cfg.initial_expr)
     target = parse_state(basis, cfg.target_expr)
@@ -96,11 +139,10 @@ def _cmd_optimize(args) -> int:
         fidelity_stop=cfg.fidelity_stop,
     )
     report = optimize(problem)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     (out / "waveform.txt").write_text(write_waveform(report.controls), encoding="utf-8")
     traj = propagate(cfg.system, report.controls, rho0)
-    (out / "trajectory.txt").write_text(write_trajectory(traj), encoding="utf-8")
+    _save_trajectory(out, traj)
     for spec in cfg.analysis_specs:
         _write_populations(out, traj, spec)
     summary = {
@@ -113,6 +155,7 @@ def _cmd_optimize(args) -> int:
         "gradient_norm_history": report.gradient_norm_history,
         "fidelity_history": report.fidelity_history,
         "seed": cfg.seed,
+        "provenance": _provenance(config),
     }
     (out / "report.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
     print(f"final fidelity {report.final_fidelity:.6f} ({report.status}, "
@@ -121,20 +164,17 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    traj = read_trajectory(_read(args.trajectory))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    print(f"wrote {_write_populations(out, traj, args.spec)}")
+    traj = _load_trajectory(args.trajectory)
+    print(f"wrote {_write_populations(_out_dir(args.out), traj, args.spec)}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    traj_a = read_trajectory(_read(args.traj_a))
-    traj_b = read_trajectory(_read(args.traj_b), expected_basis=traj_a.basis)
+    traj_a = _load_trajectory(args.traj_a)
+    traj_b = _load_trajectory(args.traj_b, expected_basis=traj_a.basis)
     score = analysis.rsp if args.score == "rsp" else analysis.rdn
     report = score(traj_a, traj_b, grouping=args.grouping)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     prefix = "" if args.grouping == "none" else f"{args.grouping}_"
     header = ["time"]
     columns = [report.times]
@@ -208,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return EXIT_MISSING_FILE
+    except OSError as exc:  # a directory where a file belongs, no permission, a full disk
+        print(f"error: cannot use {exc.filename}: {exc.strerror}" if exc.filename
+              else f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

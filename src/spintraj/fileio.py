@@ -22,10 +22,18 @@ time followed by (re, im) pairs of the Liouville coefficients.
 
 Floats are written with 17 significant digits, so write -> read round trips
 are lossless for IEEE doubles.
+
+Trajectory cache (binary, ``<file>.cache`` beside a written trajectory): the
+32-byte SHA-256 digest of the text file's bytes, then the data rows as
+little-endian float64, [N, 1 + 2D] row-major. The text stays the source of
+truth: the cache stands in for the numeric parse of the data lines only when
+its digest matches the text exactly and it holds exactly N x (1 + 2D) values.
+Every header check still runs, and deleting a cache is always safe.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import sys
@@ -46,6 +54,8 @@ __all__ = [
     "write_waveform",
     "read_trajectory",
     "write_trajectory",
+    "trajectory_cache",
+    "cached_rows",
     "ExperimentConfig",
     "parse_config",
 ]
@@ -205,6 +215,15 @@ def read_waveform(text: str) -> ControlSet:
     return ControlSet(header["dt"], header["power_hz"], channels, amps)
 
 
+def _trajectory_rows(traj: Trajectory) -> np.ndarray:
+    """[N, 1 + 2D] rows: time, then the (re, im) pair of each coefficient."""
+    rows = np.empty((traj.n_points, 1 + 2 * traj.basis.dim))
+    rows[:, 0] = traj.times
+    rows[:, 1::2] = traj.states.real
+    rows[:, 2::2] = traj.states.imag
+    return rows
+
+
 def write_trajectory(traj: Trajectory) -> str:
     system = traj.basis.system
     out = io.StringIO()
@@ -217,15 +236,29 @@ def write_trajectory(traj: Trajectory) -> str:
         out.write(f"# {key}={value}\n")
     for i, lab in enumerate(traj.basis.labels):
         out.write(f"# label {i} {lab}\n")
-    rows = np.empty((traj.n_points, 1 + 2 * traj.basis.dim))
-    rows[:, 0] = traj.times
-    rows[:, 1::2] = traj.states.real
-    rows[:, 2::2] = traj.states.imag
-    np.savetxt(out, rows, fmt=_FMT)
+    np.savetxt(out, _trajectory_rows(traj), fmt=_FMT)
     return out.getvalue()
 
 
-def read_trajectory(text: str, expected_basis: ProductBasis | None = None) -> Trajectory:
+def trajectory_cache(data: bytes, traj: Trajectory) -> bytes:
+    """The cache of `data`, the bytes of write_trajectory(traj): their SHA-256
+    digest, then the rows the text holds as little-endian float64."""
+    return hashlib.sha256(data).digest() + _trajectory_rows(traj).astype("<f8").tobytes()
+
+
+def cached_rows(data: bytes, cache: bytes) -> np.ndarray | None:
+    """The flat float64 rows of `cache` if it was written for exactly `data`, else
+    None; read_trajectory checks their count against the text's rows."""
+    if len(cache) % 8 or cache[:32] != hashlib.sha256(data).digest():
+        return None
+    return np.frombuffer(cache, "<f8", offset=32).astype(float)
+
+
+def read_trajectory(text: str, expected_basis: ProductBasis | None = None,
+                    cached: np.ndarray | None = None) -> Trajectory:
+    """Parse a trajectory; `cached`, the flat rows from `cached_rows`, replaces
+    the numeric parse of the data lines when it holds exactly their N x (1 + 2D)
+    values. Every header check runs either way."""
     isotopes: list[str] | None = None
     mults: list[int] | None = None
     labels: dict[int, tuple[int, str]] = {}  # basis index -> (file line, label)
@@ -280,7 +313,11 @@ def read_trajectory(text: str, expected_basis: ProductBasis | None = None) -> Tr
                 f"{basis.labels[idx]} (foreign basis ordering)"
             )
     _require(bool(rows), "trajectory", "no data rows")
-    data = _data_rows(rows, 1 + 2 * basis.dim, "trajectory")
+    width = 1 + 2 * basis.dim
+    if cached is not None and cached.size == len(rows) * width:
+        data = cached.reshape(len(rows), width)
+    else:
+        data = _data_rows(rows, width, "trajectory")
     if not np.all(np.isfinite(data)):
         raise NumericError("trajectory contains non-finite values")
     times = data[:, 0]
@@ -365,6 +402,9 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
                  f"expected one of {', '.join(FAMILIES)}, got {spec!r}")
     tolerance = _num(prob.get("tolerance", 1e-6), "config.problem.tolerance")
     _require(tolerance >= 0, "config.problem.tolerance", f"must be nonnegative, got {tolerance!r}")
+    power_hz = _num(prob["power_hz"], "config.problem.power_hz")
+    _require(power_hz > 0, "config.problem.power_hz",  # zero power can never move a spin
+             f"expected a positive control power, got {power_hz!r}")
     fid_stop = prob.get("fidelity_stop")
     if fid_stop is not None:  # a fidelity never exceeds 1
         fid_stop = _num(fid_stop, "config.problem.fidelity_stop")
@@ -377,7 +417,7 @@ def parse_config(text: str, system_loader=None) -> ExperimentConfig:
         parametrization=str(prob.get("parametrization", "amplitudes")),
         dt=dt,
         n_steps=n_steps,
-        power_hz=_num(prob["power_hz"], "config.problem.power_hz"),
+        power_hz=power_hz,
         channels=channels,
         offsets=_nums(ens.get("offsets", [0.0]), "config.problem.ensemble.offsets"),
         power_scales=_nums(ens.get("power_scales", [1.0]),

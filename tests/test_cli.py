@@ -1,3 +1,6 @@
+import errno
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -6,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spintraj
 from spintraj import (
     CohOrder,
     ControlSet,
     Spin,
     SpinSystem,
+    Trajectory,
     build_projector,
     population_series,
     product_basis,
@@ -18,7 +23,7 @@ from spintraj import (
 )
 from spintraj.cli import main
 from spintraj.expressions import parse_state
-from spintraj.fileio import read_trajectory, write_waveform
+from spintraj.fileio import read_trajectory, trajectory_cache, write_trajectory, write_waveform
 from test_fileio import write_system
 
 ONE_SPIN = SpinSystem((Spin("1H", 2, 150.0),))
@@ -148,12 +153,16 @@ class TestOptimizeCommand:
         assert main(["optimize", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "waveform.txt").read_text() == (out2 / "waveform.txt").read_text()
         assert (out1 / "trajectory.txt").read_text() == (out2 / "trajectory.txt").read_text()
-        import json
-
         report = json.loads((out1 / "report.json").read_text())
         assert report["final_fidelity"] > 0.99
         assert report["seed"] == 3
         assert report["evaluations"] >= report["iterations"] + 1
+        import scipy
+
+        assert report["provenance"] == {
+            "config_sha256": hashlib.sha256(cfg.read_bytes()).hexdigest(),
+            "spintraj": spintraj.__version__, "numpy": np.__version__,
+            "scipy": scipy.__version__}
 
     def test_analysis_specs_match_analyze(self, tmp_path, capsys):
         specs = ["corr-orders", "coh-orders", "local", "involvement"]
@@ -175,6 +184,118 @@ def _python(args, **env):
                           env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
 
 
+def _simulated(tmp_path, one_spin_files, initial="Lz(0)") -> Path:
+    sys_path, wave_path, _ = one_spin_files
+    run = tmp_path / "run"
+    assert main(["simulate", "--system", str(sys_path), "--waveform", str(wave_path),
+                 "--initial", initial, "--out", str(run)]) == 0
+    return run / "trajectory.txt"
+
+
+def _analyze(path: Path, out: Path, capsys) -> tuple[int, str, bytes | None]:
+    """Exit code, stderr and local.csv of `analyze --spec local` on `path`."""
+    code = main(["analyze", "--trajectory", str(path), "--spec", "local", "--out", str(out)])
+    csv = out / "local.csv"
+    return code, capsys.readouterr().err, csv.read_bytes() if csv.exists() else None
+
+
+def _recache(path: Path, traj):
+    """Write a cache that is valid for the file's current bytes."""
+    Path(f"{path}.cache").write_bytes(trajectory_cache(path.read_bytes(), traj))
+
+
+class TestTrajectoryCacheFiles:
+    def test_simulate_writes_cache(self, tmp_path, one_spin_files):
+        path = _simulated(tmp_path, one_spin_files)
+        cache = Path(f"{path}.cache").read_bytes()
+        assert cache[:32] == hashlib.sha256(path.read_bytes()).digest()
+        assert len(cache) == 32 + 8 * 31 * (1 + 2 * 4)  # 31 points, D = 4
+
+    def test_hit_is_used(self, tmp_path, one_spin_files, capsys):
+        # the digest vouches for the text, not for the rows: a cache written for
+        # these bytes from other states is taken as is, which shows it is read
+        path = _simulated(tmp_path, one_spin_files)
+        traj = read_trajectory(path.read_text())
+        text_csv = _analyze(path, tmp_path / "a", capsys)[2]
+        _recache(path, Trajectory(traj.times, 0.5 * traj.states, traj.basis))
+        code, err, cache_csv = _analyze(path, tmp_path / "b", capsys)
+        assert code == 0 and not err
+        assert cache_csv != text_csv
+
+    def test_edited_text_gives_edited_values(self, tmp_path, one_spin_files, capsys):
+        path = _simulated(tmp_path, one_spin_files, initial="Lx(0)")
+        before = _analyze(path, tmp_path / "before", capsys)[2]
+        lines = path.read_text().splitlines()
+        row = lines[-5].split()
+        assert row[3].startswith("0.")
+        row[3] = "1" + row[3][1:]  # one digit of one coefficient
+        lines[-5] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        code, err, stale = _analyze(path, tmp_path / "stale", capsys)
+        os.remove(f"{path}.cache")
+        assert (code, err) == (0, "")
+        assert stale == _analyze(path, tmp_path / "text", capsys)[2] != before
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "wrong-digest", "directory"])
+    def test_damaged_cache_gives_text_result(self, tmp_path, one_spin_files, capsys, damage):
+        path = _simulated(tmp_path, one_spin_files)
+        cache = Path(f"{path}.cache")
+        good = cache.read_bytes()
+        cache.unlink()
+        expected = _analyze(path, tmp_path / "text", capsys)
+        if damage == "directory":
+            cache.mkdir()
+        else:
+            cache.write_bytes({"truncated": good[:-40], "empty": b"",
+                               "wrong-digest": bytes(32) + good[32:]}[damage])
+        assert _analyze(path, tmp_path / "damaged", capsys) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize("old, new", [
+        ("# label 3 (1,1)", "# label 99 (1,1)"),
+        ("# label 3 (1,1)", "# label 3 (1,0)"),
+        ("# multiplicities=2", "# multiplicities=3"),
+        ("# isotopes=1H", "# isotopes=1H,13C"),
+    ])
+    def test_header_fault_same_with_valid_cache(self, tmp_path, one_spin_files, capsys,
+                                                old, new):
+        path = _simulated(tmp_path, one_spin_files)
+        traj = read_trajectory(path.read_text())
+        path.write_text(path.read_text().replace(old, new))
+        os.remove(f"{path}.cache")
+        without = _analyze(path, tmp_path / "a", capsys)
+        _recache(path, traj)
+        assert without[0] == 4 and without[1].startswith("error: ")
+        assert _analyze(path, tmp_path / "b", capsys)[:2] == without[:2]
+
+    def test_non_finite_same_with_valid_cache(self, tmp_path, capsys):
+        basis = product_basis(ONE_SPIN)
+        states = np.ones((3, basis.dim), dtype=complex)
+        states[1, 2] = np.nan
+        traj = Trajectory(np.arange(3.0), states, basis)
+        path = tmp_path / "trajectory.txt"
+        path.write_text(write_trajectory(traj))
+        without = _analyze(path, tmp_path / "a", capsys)
+        _recache(path, traj)
+        assert without[0] == 6
+        assert _analyze(path, tmp_path / "b", capsys)[:2] == without[:2]
+
+    def test_compare_across_systems_same_with_caches(self, tmp_path, one_spin_files, capsys):
+        path_a = _simulated(tmp_path, one_spin_files)
+        two = SpinSystem((Spin("1H", 2, 150.0), Spin("13C", 2)))
+        path_b = tmp_path / "b.txt"
+        traj_b = propagate(two, one_spin_files[2], parse_state(product_basis(two), "Lz(0)"))
+        path_b.write_text(write_trajectory(traj_b))
+        argv = ["compare", "--traj-a", str(path_a), "--traj-b", str(path_b),
+                "--score", "rsp", "--out", str(tmp_path / "cmp")]
+        os.remove(f"{path_a}.cache")
+        without = main(argv), capsys.readouterr().err
+        _recache(path_a, read_trajectory(path_a.read_text()))
+        _recache(path_b, traj_b)
+        assert without[0] == 4 and "expected basis" in without[1]
+        assert (main(argv), capsys.readouterr().err) == without
+
+
 class TestProcesses:
     def test_import_leaves_scipy_unloaded(self):
         proc = _python(["-c", "import sys, spintraj.cli; print('scipy' in sys.modules)"])
@@ -194,7 +315,8 @@ class TestProcesses:
                            OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / name).read_bytes()
-                            for name in ("waveform.txt", "trajectory.txt", "report.json")])
+                            for name in ("waveform.txt", "trajectory.txt",
+                                         "trajectory.txt.cache", "report.json")])
         assert outputs[0] == outputs[1]
 
 
@@ -271,6 +393,9 @@ class TestExitCodes:
         ("max_iterations: 60", "max_iterations: 60\n  fidelity_stop: .nan",
          "config.problem.fidelity_stop"),
         ("power_hz: 5000.0", "power_hz: .nan", "config.problem.power_hz"),
+        # a control with no power can never act
+        ("power_hz: 5000.0", "power_hz: 0.0", "config.problem.power_hz"),
+        ("power_hz: 5000.0", "power_hz: -5000.0", "config.problem.power_hz"),
         ("duration: 2.0e-4", "duration: .inf", "config.problem.duration"),
         ("max_iterations: 60", "max_iterations: 60\n  ensemble: {power_scales: [.inf]}",
          "config.problem.ensemble.power_scales[0]"),
@@ -373,6 +498,51 @@ class TestExitCodes:
                      "--spec", "local", "--out", str(run)])
         assert code == 4
         assert f"trajectory line {line + 1}" in capsys.readouterr().err
+
+    def test_non_utf8_trajectory(self, tmp_path, capsys):
+        path = tmp_path / "trajectory.txt"
+        path.write_bytes(b"\xff\xfe# spintraj trajectory v1\n")
+        assert _analyze(path, tmp_path / "run", capsys)[:2] == (
+            4, f"error: {path}: not UTF-8 text (byte 0)\n")
+
+    def test_non_utf8_system(self, tmp_path, capsys):
+        path = tmp_path / "sys.yaml"
+        path.write_bytes(b"\xff\xfespins: []\n")
+        assert main(["basis", "--system", str(path)]) == 4
+        assert str(path) in capsys.readouterr().err
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert main(["basis", "--system", str(tmp_path)]) == 3
+        assert f"cannot use {tmp_path}: Is a directory" in capsys.readouterr().err
+
+    def test_unreadable_input(self, tmp_path, one_spin_files, capsys, monkeypatch):
+        # permission bits do not stop root, so the refusal is raised the way open() raises it
+        path = _simulated(tmp_path, one_spin_files)
+        read_bytes = Path.read_bytes
+
+        def refuse(self):
+            if self == path:
+                raise PermissionError(errno.EACCES, "Permission denied", str(self))
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        code, err, _ = _analyze(path, tmp_path / "out", capsys)
+        assert code == 3
+        assert f"cannot use {path}: Permission denied" in err
+
+    def test_out_names_a_file(self, tmp_path, one_spin_files, capsys):
+        path = _simulated(tmp_path, one_spin_files)
+        out = tmp_path / "taken"
+        out.write_text("")
+        code, err, _ = _analyze(path, out, capsys)
+        assert code == 3
+        assert f"cannot use {out}: Not a directory" in err
+
+    def test_waveform_without_power_still_simulates(self, tmp_path, one_spin_files):
+        sys_path, wave_path, _ = one_spin_files
+        wave_path.write_text(wave_path.read_text().replace("# power_hz=4000", "# power_hz=0"))
+        assert main(["simulate", "--system", str(sys_path), "--waveform", str(wave_path),
+                     "--initial", "Lz(0)", "--out", str(tmp_path / "run")]) == 0
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -5,10 +7,12 @@ import yaml
 from spintraj import ControlSet, Spin, SpinSystem, Trajectory, product_basis
 from spintraj.errors import FormatError, NumericError
 from spintraj.fileio import (
+    cached_rows,
     parse_config,
     parse_system,
     read_trajectory,
     read_waveform,
+    trajectory_cache,
     write_trajectory,
     write_waveform,
 )
@@ -166,6 +170,55 @@ class TestTrajectoryRoundTrip:
         other = product_basis(SpinSystem((Spin("14N", 3),)))
         with pytest.raises(FormatError):
             read_trajectory(write_trajectory(traj), expected_basis=other)
+
+
+class TestTrajectoryCache:
+    """The cache stands in for the numeric parse only when it was written for
+    exactly the text, and then gives what the text parse gives, bit for bit."""
+
+    def written(self):
+        basis = product_basis(SpinSystem((Spin("1H", 2), Spin("14N", 3))))
+        values = TestTextTableBytes().values  # -0.0 and subnormals included
+        traj = Trajectory(values((7,), 3), values((7, basis.dim), 1)
+                          + 1j * values((7, basis.dim), 2), basis, {"system_hash": "abc"})
+        data = write_trajectory(traj).encode("utf-8")
+        return traj, data, trajectory_cache(data, traj)
+
+    def test_layout(self):
+        traj, data, cache = self.written()
+        assert cache[:32] == hashlib.sha256(data).digest()
+        assert len(cache) == 32 + 8 * traj.n_points * (1 + 2 * traj.basis.dim)
+
+    def test_hit_matches_text_parse(self):
+        _, data, cache = self.written()
+        rows = cached_rows(data, cache)
+        assert rows is not None
+        hit = read_trajectory(data.decode(), cached=rows)
+        parsed = read_trajectory(data.decode())
+        for a, b in ((hit.times, parsed.times), (hit.states, parsed.states)):
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+        assert hit.provenance == parsed.provenance == {"system_hash": "abc"}
+        assert hit.basis == parsed.basis
+
+    def test_edited_text_misses(self):
+        _, data, cache = self.written()
+        text = data.decode()
+        last = text.rstrip("\n").rsplit("\n", 1)[1]
+        edited = text.replace(last, "0.5 " + last.split(" ", 1)[1])
+        assert cached_rows(edited.encode(), cache) is None
+        assert read_trajectory(edited).times[-1] == 0.5
+
+    @pytest.mark.parametrize("cut", [
+        lambda c: b"", lambda c: c[:31], lambda c: c[:32], lambda c: c[:-8], lambda c: c[:-3],
+        lambda c: c + bytes(8), lambda c: bytes([c[0] ^ 1]) + c[1:],
+    ], ids=["empty", "short-digest", "digest-only", "one-value-short", "ragged", "padded",
+            "wrong-digest"])
+    def test_damaged_cache_falls_back(self, cut):
+        _, data, cache = self.written()
+        back = read_trajectory(data.decode(), cached=cached_rows(data, cut(cache)))
+        parsed = read_trajectory(data.decode())
+        assert back.times.tobytes() == parsed.times.tobytes()
+        assert back.states.tobytes() == parsed.states.tobytes()
 
 
 class TestParseConfig:

@@ -8,9 +8,10 @@ only with the package's own input errors (FormatError, DomainError,
 NumericError): anything else would reach the CLI as a traceback. The mutated
 system, waveform and trajectory files also go through `spintraj basis`,
 `simulate` and `analyze`, which must end with exit code 0, 3, 4, 5 or 6 and
-print no traceback. Configs are left out there: a mutated max_iterations can
-make `optimize` run without bound. Examples are derandomized, so every run
-checks the same inputs.
+print no traceback. A mutated trajectory goes to `analyze` with the cache of
+the unmutated one beside it, so it is read through the stale-cache path.
+Configs are left out there: a mutated max_iterations can make `optimize` run
+without bound. Examples are derandomized, so every run checks the same inputs.
 """
 
 import io
@@ -33,6 +34,7 @@ from spintraj.fileio import (
     parse_system,
     read_trajectory,
     read_waveform,
+    trajectory_cache,
     write_trajectory,
     write_waveform,
 )
@@ -46,16 +48,17 @@ def _shipped_system(_path: str) -> str:
     return (CONFIGS / "backbone.yaml").read_text(encoding="utf-8")
 
 
-def _written_files() -> tuple[str, str]:
+def _written_files() -> tuple[str, str, bytes]:
     system = SpinSystem((Spin("1H", 2, 100.0), Spin("13C", 2)))
     rng = np.random.default_rng(0)
     controls = ControlSet(2e-5, 5000.0, (("1H", "x"), ("1H", "y"), ("13C", "x")),
                           rng.uniform(-1.0, 1.0, (3, 3)))
     traj = propagate(system, controls, parse_state(product_basis(system), "Lz(0)"))
-    return write_waveform(controls), write_trajectory(traj)
+    text = write_trajectory(traj)
+    return write_waveform(controls), text, trajectory_cache(text.encode("utf-8"), traj)
 
 
-WAVEFORM, TRAJECTORY = _written_files()
+WAVEFORM, TRAJECTORY, TRAJECTORY_CACHE = _written_files()
 INPUTS = [(parse_system, (CONFIGS / "backbone.yaml").read_text(encoding="utf-8"))]
 INPUTS += [(partial(parse_config, system_loader=_shipped_system), path.read_text(encoding="utf-8"))
            for path in sorted(CONFIGS.glob("*.yaml")) if path.name != "backbone.yaml"]
@@ -112,6 +115,8 @@ def mutated_commands(draw):
              "trajectory.txt": TRAJECTORY}
     name = draw(st.sampled_from(sorted(COMMANDS)))
     files[name] = mutate(draw, files[name])
+    if name == "trajectory.txt":
+        files["trajectory.txt.cache"] = TRAJECTORY_CACHE
     return files, draw(st.sampled_from(COMMANDS[name]))
 
 
@@ -121,8 +126,12 @@ def test_mutated_inputs_through_cli(case):
     files, argv = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in files.items():
-            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        for name, content in files.items():
+            path = Path(tmp) / name
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content, encoding="utf-8")
         paths = [str(Path(tmp) / a) if a in files or a == "run" else a for a in argv]
         with redirect_stdout(out), redirect_stderr(err):
             code = main(paths)
